@@ -270,19 +270,19 @@ def window(domain_file, a_min, a_max, c, tol, xi_max, calibration, out, fmt,
     except (DomainError, MellinError, ValueError, OSError) as exc:
         _fail(str(exc))
     margin_rows = [("a", "margin", "witness_xi")]
-    verdict_margins = []
-    for a in np.linspace(max(a_min, rep.global_window[0] + 1e-3),
-                         min(a_max, rep.global_window[1] - 1e-3), 21) \
-            if rep.global_window else []:
-        v = layerpot.fredholm_verdict(d, c, float(a), line=line, tol=tol)
-        worst = min(v.per_vertex.values(), key=lambda r: r.margin)
-        margin_rows.append((float(a), worst.margin, worst.witness_xi))
-        verdict_margins.append((float(a), worst.margin))
+    # no curve for an empty window, nor for a domain without vertices
+    if rep.global_window and rep.per_vertex:
+        lo, hi = rep.global_window
+        for a in np.linspace(max(a_min, lo + 1e-3), min(a_max, hi - 1e-3), 21):
+            v = layerpot.fredholm_verdict(d, c, float(a), line=line, tol=tol)
+            worst = min(v.per_vertex.values(), key=lambda r: r.margin)
+            margin_rows.append((float(a), worst.margin, worst.witness_xi))
     report = {
         "config": _config_echo(domain=domain_file, c=c, a_min=a_min,
                                a_max=a_max, tol=tol,
                                calibration=calibration),
-        "per_vertex": {k: list(w) for k, w in rep.per_vertex.items()},
+        "per_vertex": {k: list(w) if w else None
+                       for k, w in rep.per_vertex.items()},
         "global_window": (list(rep.global_window)
                           if rep.global_window else None),
         "reference_window": (list(rep.reference_window)

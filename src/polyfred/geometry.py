@@ -673,30 +673,29 @@ def _blend(s):
     return s + 4 * s**3 - 7 * s**4 + 3 * s**5
 
 
-def smoothed_distance(d: ConicalDomain, x) -> float:
-    """Smoothed distance r(x) to the vertex set.
+def smoothed_distance(d: ConicalDomain, x):
+    """Smoothed distance r(x) to the vertex set, for one point x (a float)
+    or an (N, 2) array of points (an (N,) array).
 
     Equals the Euclidean vertex distance up to eps/2, blends monotonically on
     [eps/2, eps], and plateaus at eps outside the collar of the nearest
-    vertex.  Exactly at a vertex the continuous extension 0 is returned.
+    vertex, the one minimizing distance - eps (the first in vertex order on
+    ties).  Exactly at a vertex the continuous extension 0 is returned.
     """
     x = np.asarray(x, dtype=float)
+    pts = np.atleast_2d(x)
     if not d.vertices:
-        eps = d.options.get("epsilon_smooth", 0.25)
-        return float(eps)
-    best = None
-    for vid, v in d.vertices.items():
-        dist = float(np.linalg.norm(x - v.pos))
-        eps = d.epsilon[vid]
-        if best is None or dist - eps < best[0] - best[1]:
-            best = (dist, eps)
-    dist, eps = best
-    if dist >= eps:
-        return eps
-    if dist <= eps / 2:
-        return dist
-    s = (dist - eps / 2) / (eps / 2)
-    return eps / 2 * (1.0 + _blend(s))
+        r = np.full(len(pts), float(d.options.get("epsilon_smooth", 0.25)))
+    else:
+        pos = np.array([v.pos for v in d.vertices.values()])
+        eps_v = np.array([d.epsilon[vid] for vid in d.vertices])
+        dist_v = np.linalg.norm(pts[:, None, :] - pos[None, :, :], axis=-1)
+        k = np.argmin(dist_v - eps_v, axis=1)
+        dist, eps = dist_v[np.arange(len(pts)), k], eps_v[k]
+        s = (dist - eps / 2) / (eps / 2)
+        r = np.where(dist >= eps, eps,
+                     np.where(dist <= eps / 2, dist, eps / 2 * (1.0 + _blend(s))))
+    return float(r[0]) if x.ndim == 1 else r
 
 
 def _polylines_cross(p, q) -> bool:

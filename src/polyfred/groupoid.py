@@ -124,7 +124,7 @@ class MellinOperator:
 
     Acts on C^size-valued functions on R+ by
     (Pf)(r) = delta @ f(r) + integral kappa(r/s) f(s) ds/s.
-    Compared and cached by identity.
+    Compared by identity.
     """
     vertex_id: str
     size: int
@@ -182,7 +182,8 @@ def limit_operator(P: OperatorDescriptor, stratum: VertexStratum
     """Freeze P at a vertex stratum as a matrix Mellin convolution operator.
 
     Each local two-variable kernel is gated through a numerical homogeneity
-    check, then reduced to the one-variable kernel t -> k(t, 1).  The scalar
+    check, then reduced to the one-variable kernel t -> k(t, 1), which keeps
+    the kernel's closed-form symbol and decay hints.  The scalar
     part c is not part of the result.  Kernels supported away from the vertex
     contribute nothing, so absent entries mean zero.
     """
@@ -196,7 +197,7 @@ def limit_operator(P: OperatorDescriptor, stratum: VertexStratum
                 row.append(None)
                 continue
             _check_homogeneity(ker, (stratum.vertex_id, i, j))
-            row.append(_one_variable(ker))
+            row.append(one_variable_kernel(ker))
         rows.append(tuple(row))
     delta = P.jump.get(stratum.vertex_id)
     if delta is None:
@@ -210,10 +211,15 @@ def limit_operator(P: OperatorDescriptor, stratum: VertexStratum
     return MellinOperator(stratum.vertex_id, k, tuple(rows), delta)
 
 
-def _one_variable(ker):
+def one_variable_kernel(ker):
+    """t -> k(t, 1), keeping the kernel's ``symbol``, ``log_eval`` and
+    ``decay_exponents`` hints: they describe this one-variable kernel."""
     def kappa(t):
         t = np.asarray(t, dtype=float)
         return ker(t, np.ones_like(t))
+    for hint in ("symbol", "log_eval", "decay_exponents"):
+        if hasattr(ker, hint):
+            setattr(kappa, hint, getattr(ker, hint))
     return kappa
 
 

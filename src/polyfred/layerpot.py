@@ -40,8 +40,6 @@ from .mellin import (
     WindowReport,
     admissible_weight_window,
     invertibility_scan,
-    merge_windows,
-    wedge_np_kernel,
 )
 
 INCONCLUSIVE_MARGIN = 1e-3
@@ -197,7 +195,7 @@ def graded_mesh(M: DesingularizedBoundary, n: int = 16, q: float = 0.5,
         nus.append(NU)
         ws.append(L * dtau)
         curs.append(np.full(m, kappa))
-        rs.append(np.array([smoothed_distance(d, p) for p in P]))
+        rs.append(smoothed_distance(d, P))
         bidx.append(np.full(m, base_ids.index(e.id)))
         stra.append(np.full(m, e.kind == "line"))
         slices[ue.uid] = slice(pos, pos + m)
@@ -398,23 +396,8 @@ def fredholm_verdict(d: ConicalDomain, c: float, a: float,
     witnesses = []
     inconclusive = False
     for stratum in G.boundary_strata:
-        uv = u.uvertices[stratum.vertex_id]
-        plain = (stratum.family == "noncrack" and len(uv.sectors) == 1
-                 and stratum.vertex_id not in P.jump)
-        if plain:
-            # plain corner strata reduce to the wedge operator of their
-            # opening angle; identical wedges share one scan
-            key = (round(uv.sectors[0].measure, 10), c,
-                   round(wline.gamma, 12), tol, xi_max)
-            res = _WEDGE_SCAN_CACHE.get(key)
-            if res is None:
-                res = invertibility_scan(
-                    wedge_np_kernel(uv.sectors[0].measure), c, wline,
-                    xi_max=xi_max, tol=tol)
-                _WEDGE_SCAN_CACHE[key] = res
-        else:
-            op = limit_operator(P, stratum)
-            res = invertibility_scan(op, c, wline, xi_max=xi_max, tol=tol)
+        res = invertibility_scan(limit_operator(P, stratum), c, wline,
+                                 xi_max=xi_max, tol=tol)
         per_vertex[stratum.vertex_id] = res
         if not res.invertible:
             witnesses.append(stratum.vertex_id)
@@ -430,47 +413,33 @@ def fredholm_verdict(d: ConicalDomain, c: float, a: float,
                            tuple(witnesses), _reference_window(d), wline)
 
 
-_WEDGE_SCAN_CACHE: dict = {}
-_WEDGE_WINDOW_CACHE: dict = {}
-
-
 def domain_windows(d: ConicalDomain, c: float,
                    line: WeightLine = WeightLine(0.0),
                    search: tuple[float, float] = (-1.2, 1.2),
                    tol: float = mellin.SCAN_TOL) -> WindowReport:
     """Admissible weight window per vertex stratum, intersected globally.
 
-    Plain corner strata reduce to the wedge operator of their opening angle
-    and share a cache across vertices and domains.
+    Every stratum goes through its limit operator, whose kernels carry
+    closed-form Mellin symbols (quadrature is the fallback for kernels
+    without one); nothing is cached between calls.  A vertex with no
+    admissible weight gets the window None and so does the global window.
+    A domain without vertices is Fredholm on the whole search range.
     """
     u = unfold(d)
     G = build_groupoid(desingularize_boundary(u))
     P = np_operator_descriptor(u, c)
-    reports = []
+    per_vertex = {}
     for stratum in G.boundary_strata:
-        uv = u.uvertices[stratum.vertex_id]
-        plain = (stratum.family == "noncrack" and len(uv.sectors) == 1
-                 and stratum.vertex_id not in P.jump)
-        if plain:
-            theta = round(uv.sectors[0].measure, 10)
-            key = (theta, c, line.slope, line.intercept, tol)
-            hit = _WEDGE_WINDOW_CACHE.get(key)
-            if hit is None:
-                op = wedge_np_kernel(uv.sectors[0].measure)
-                hit = admissible_weight_window(op, c, search, line, tol=tol)
-                _WEDGE_WINDOW_CACHE[key] = hit
-            reports.append(WindowReport(
-                c, {stratum.vertex_id: hit.global_window}, hit.global_window,
-                hit.margins))
-        else:
-            op = limit_operator(P, stratum)
-            reports.append(admissible_weight_window(
-                op, c, search, line, tol=tol,
-                vertex_id=stratum.vertex_id))
-    merged = merge_windows(reports)
-    lo, hi = _reference_window(d)
-    return WindowReport(merged.c, merged.per_vertex, merged.global_window,
-                        reference_window=(lo, hi))
+        rep = admissible_weight_window(limit_operator(P, stratum), c, search,
+                                       line, tol=tol,
+                                       vertex_id=stratum.vertex_id)
+        per_vertex[stratum.vertex_id] = rep.global_window
+    ends = list(per_vertex.values())
+    lo = max([min(search)] + [w[0] for w in ends if w])
+    hi = min([max(search)] + [w[1] for w in ends if w])
+    window = (lo, hi) if all(ends) and lo < hi else None
+    return WindowReport(c, per_vertex, window,
+                        reference_window=_reference_window(d))
 
 
 # -- Dirichlet harness -----------------------------------------------------

@@ -7,6 +7,11 @@ a; the affine map is fixed by a numerical calibration (see the companion
 assembly module) and defaults to gamma(a) = -a.  Fredholmness of c*I + K at
 a vertex reduces to invertibility of c*I + delta + K(xi + i*gamma) for all
 real xi, which is decided by a scan with an explicit tail majorant.
+
+Every kernel of a vertex stratum is a ray-pair kernel whose transform has a
+closed form; kernels carry it as ``symbol`` and the scans and determinant
+roots use it.  Quadrature remains for kernels without one and as the
+reference the closed forms are tested against.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import integrate, optimize
 
-from .groupoid import MellinOperator, zero_mellin_operator
+from .groupoid import MellinOperator, one_variable_kernel, zero_mellin_operator
 
 QUAD_ABS_TOL = 1e-10
 SCAN_TOL = 1e-8
@@ -45,7 +50,10 @@ def ray_pair_kernel(phi_target: float, phi_source: float, side_source: int):
 
         k(r, s) = side * (sin d / pi) * r / (r^2 + s^2 - 2 r s cos d),
 
-    d = phi_target - phi_source.  Identically zero for collinear rays.
+    d = phi_target - phi_source.  Identically zero for collinear rays.  The
+    kernel carries the Mellin transform of t -> k(t, 1) in closed form as
+    ``symbol`` (see ``ray_pair_symbol``), plus ``log_eval`` and
+    ``decay_exponents`` hints for the numerical transforms.
     """
     d = phi_target - phi_source
     sd, cd = math.sin(d), math.cos(d)
@@ -66,21 +74,38 @@ def ray_pair_kernel(phi_target: float, phi_source: float, side_source: int):
             out = np.where(np.isfinite(den), amp / den, 0.0)
         return out
 
+    kernel.symbol = ray_pair_symbol(d % (2.0 * math.pi), side_source)
     kernel.log_eval = log_eval
     kernel.decay_exponents = (1.0, 1.0) if sd != 0.0 else None
     return kernel
 
 
-def _one_variable_wedge(theta: float):
-    two = ray_pair_kernel(0.0, theta, -1)
+def ray_pair_symbol(d: float, side: int):
+    """lam -> side * sinh((pi - d) lam) / sinh(pi lam) for arrays of lam
+    with |Im lam| < 1, the Mellin transform of the ray-pair kernel with
+    angle d in [0, 2*pi).
 
-    def kappa(t):
-        t = np.asarray(t, dtype=float)
-        return two(t, np.ones_like(t))
+    The function is even in lam and changes sign under d -> 2*pi - d, so it
+    is evaluated at Re(lam) >= 0 and d <= pi as
+    e^(-d lam) expm1(-2 (pi - d) lam) / expm1(-2 pi lam), which equals
+    (e^(-d lam) - e^(-(2 pi - d) lam)) / (1 - e^(-2 pi lam)).  Every exponent
+    has non-positive real part, so nothing overflows, and expm1 keeps full
+    precision near lam = 0, where the limit is side * (pi - d) / pi.
+    """
+    if d > math.pi:
+        d, side = 2.0 * math.pi - d, -side
+    at_zero = side * (math.pi - d) / math.pi
 
-    kappa.log_eval = two.log_eval
-    kappa.decay_exponents = two.decay_exponents
-    return kappa
+    def symbol(lam):
+        lam = np.asarray(lam, dtype=complex)
+        lam = np.where(lam.real < 0.0, -lam, lam)
+        zero = lam == 0.0
+        lam = np.where(zero, 1.0, lam)
+        val = side * np.exp(-d * lam) * np.expm1(-2.0 * (math.pi - d) * lam) \
+            / np.expm1(-2.0 * math.pi * lam)
+        return np.where(zero, at_zero, val)
+
+    return symbol
 
 
 def wedge_np_kernel(theta: float) -> MellinOperator:
@@ -96,7 +121,7 @@ def wedge_np_kernel(theta: float) -> MellinOperator:
         op = zero_mellin_operator("wedge", 2)
         return MellinOperator(op.vertex_id, 2, op.entries, op.delta,
                               removable_flat=True)
-    kappa = _one_variable_wedge(theta)
+    kappa = one_variable_kernel(ray_pair_kernel(0.0, theta, -1))
     entries = ((None, kappa), (kappa, None))
     return MellinOperator("wedge", 2, entries, np.zeros((2, 2)))
 
@@ -166,22 +191,15 @@ def _truncation(kappa, gamma: float) -> tuple[float, float]:
 
 # -- transform -------------------------------------------------------------
 
-_transform_cache: dict = {}
-
-
 def mellin_transform(op: MellinOperator, lam: complex) -> np.ndarray:
     """Matrix symbol at lam, entrywise adaptive quadrature on log scale.
 
-    The constant jump part is lam-independent and added as-is.  Results are
-    cached per (operator, lam).  Entries with identical kernel objects are
-    integrated once.
+    Always numerical, even for kernels that carry a closed-form symbol, so
+    it serves as the reference the closed forms are tested against.  The
+    constant jump part is lam-independent and added as-is.  Entries with
+    identical kernel objects are integrated once.
     """
     lam = complex(lam)
-    key = (op, lam)
-    hit = _transform_cache.get(key)
-    if hit is not None:
-        return hit.copy()
-    gamma = lam.imag
     out = np.array(op.delta, dtype=complex)
     done: dict[int, complex] = {}
     for i in range(op.size):
@@ -189,36 +207,33 @@ def mellin_transform(op: MellinOperator, lam: complex) -> np.ndarray:
             ker = op.entries[i][j]
             if ker is None:
                 continue
-            if id(ker) in done:
-                out[i, j] += done[id(ker)]
-                continue
-            val = _entry_transform(ker, lam)
-            done[id(ker)] = val
-            out[i, j] += val
-    if len(_transform_cache) > 65536:
-        _transform_cache.clear()
-    _transform_cache[key] = out.copy()
+            if id(ker) not in done:
+                done[id(ker)] = _entry_transform(ker, lam)
+            out[i, j] += done[id(ker)]
     return out
 
 
 def _entry_transform(kappa, lam: complex) -> complex:
-    # substitute t = e^u: int g(u) e^(gamma*u) e^(-i*xi*u) du, split at u = 0
+    # substitute t = e^u: int g(u) e^(gamma*u) e^(-i*xi*u) du, split at u = 0;
+    # the oscillation is left to the cos/sin-weighted rule (QUADPACK QAWO),
+    # which stays accurate for large |xi|
     gamma, xi = lam.imag, lam.real
     u0, u1 = _truncation(kappa, gamma)
     g = _log_eval(kappa)
 
     def f(u):
-        return _damped(g(u), gamma, u) * np.exp(-1j * xi * u)
+        return _damped(g(u), gamma, u)
 
     val = 0.0 + 0.0j
     for a, b in ((-u0, 0.0), (0.0, u1)):
-        part, err = integrate.quad(f, a, b, complex_func=True,
-                                   epsabs=QUAD_ABS_TOL * 0.5, epsrel=1e-11,
-                                   limit=400)
-        if abs(err) > 10 * QUAD_ABS_TOL:
-            raise MellinError(
-                f"quadrature error estimate {abs(err):.2e} above tolerance")
-        val += part
+        for weight, factor in (("cos", 1.0), ("sin", -1j)):
+            part, err = integrate.quad(f, a, b, weight=weight, wvar=xi,
+                                       epsabs=QUAD_ABS_TOL * 0.25,
+                                       epsrel=1e-11, limit=400)
+            if abs(err) > 10 * QUAD_ABS_TOL:
+                raise MellinError(
+                    f"quadrature error estimate {abs(err):.2e} above tolerance")
+            val += factor * part
     return val
 
 
@@ -233,7 +248,7 @@ def _damped(g, gamma: float, u):
 
 
 class MellinSymbol:
-    """Cached matrix symbol evaluator with its validity strip."""
+    """Quadrature matrix symbol evaluator with its validity strip."""
 
     def __init__(self, op: MellinOperator):
         self.op = op
@@ -291,14 +306,18 @@ def save_line_calibration(path, slope: float, intercept: float,
 _DU = 0.01
 
 
-def _line_samples(op: MellinOperator, gamma: float, xi: np.ndarray
-                  ) -> np.ndarray:
-    """Symbol matrices K(xi + i*gamma) for an array of xi, trapezoid on a
-    uniform log grid.  Spectrally accurate for the analytic kernels here;
-    cross-checked against the adaptive quadrature in the test suite."""
-    xi = np.asarray(xi, dtype=float)
+def _line_samples(op: MellinOperator, gamma, xi) -> np.ndarray:
+    """Symbol matrices K(xi + i*gamma) for arrays of xi and gamma (either
+    may be a scalar), shape (n, k, k).
+
+    A kernel's closed-form ``symbol`` is used when it has one; otherwise
+    the trapezoid rule on a uniform log grid, spectrally accurate for the
+    analytic kernels here and cross-checked against the adaptive quadrature
+    in the test suite.
+    """
+    lam = np.atleast_1d(np.asarray(xi, dtype=float) + 1j * np.asarray(gamma))
     k = op.size
-    out = np.broadcast_to(op.delta.astype(complex), (len(xi), k, k)).copy()
+    out = np.broadcast_to(op.delta.astype(complex), (len(lam), k, k)).copy()
     done: dict[int, np.ndarray] = {}
     for i in range(k):
         for j in range(k):
@@ -306,8 +325,19 @@ def _line_samples(op: MellinOperator, gamma: float, xi: np.ndarray
             if ker is None:
                 continue
             if id(ker) not in done:
-                done[id(ker)] = _entry_line(ker, gamma, xi)
+                done[id(ker)] = _entry_samples(ker, lam)
             out[:, i, j] += done[id(ker)]
+    return out
+
+
+def _entry_samples(kappa, lam: np.ndarray) -> np.ndarray:
+    symbol = getattr(kappa, "symbol", None)
+    if symbol is not None:
+        return symbol(lam)
+    out = np.empty(len(lam), dtype=complex)
+    for gamma in np.unique(lam.imag):
+        on = lam.imag == gamma
+        out[on] = _entry_line(kappa, gamma, lam.real[on])
     return out
 
 
@@ -453,7 +483,7 @@ def invertibility_scan(op: MellinOperator, c: float, line: WeightLine,
 @dataclass(frozen=True)
 class WindowReport:
     c: float
-    per_vertex: dict
+    per_vertex: dict                 # vertex id -> (lo, hi), None when empty
     global_window: tuple[float, float] | None
     margins: tuple = ()              # (a values, margin values)
     reference_window: tuple[float, float] | None = None
@@ -464,52 +494,49 @@ class WindowReport:
         return self.global_window[0] <= lo and hi <= self.global_window[1]
 
 
-def line_determinant(op: MellinOperator, c: float, gamma: float) -> float:
-    """det(c*I + symbol) on the imaginary axis lam = i*gamma.
+def line_determinant(op: MellinOperator, c: float, gamma):
+    """det(c*I + symbol) on the imaginary axis lam = i*gamma, for a scalar
+    gamma (returns a float) or an array of them (returns an array).
 
     Real kernels give a real matrix there, so the determinant is real and
-    changes sign at the isolated symbol zeros that bound weight windows.
+    vanishes at the symbol zeros that bound weight windows.
     """
-    mat = c * np.eye(op.size) + _line_samples(op, gamma, np.zeros(1))[0]
-    return float(np.linalg.det(mat).real)
+    g = np.asarray(gamma, dtype=float)
+    mats = c * np.eye(op.size) + _line_samples(op, g, np.zeros_like(g))
+    dets = np.linalg.det(mats).real
+    return float(dets[0]) if g.ndim == 0 else dets
 
 
-def _dense_line_determinants(op: MellinOperator, c: float,
-                             gammas: np.ndarray) -> np.ndarray:
-    """line_determinant over a gamma grid with one shared log grid."""
-    g_lo, g_hi = float(gammas[0]), float(gammas[-1])
-    u0 = u1 = 30.0
-    sgn = {}
-    lg = {}
-    u = None
-    for row in op.entries:
-        for ker in row:
-            if ker is None or id(ker) in lg:
-                continue
-            a0, _ = _truncation(ker, g_lo)
-            _, a1 = _truncation(ker, g_hi)
-            u0, u1 = max(u0, a0), max(u1, a1)
-    u = np.arange(-u0, u1 + _DU, _DU)
-    for row in op.entries:
-        for ker in row:
-            if ker is None or id(ker) in lg:
-                continue
-            g = _log_eval(ker)(u)
-            sgn[id(ker)] = np.sign(g)
-            with np.errstate(divide="ignore"):
-                lg[id(ker)] = np.log(np.abs(g))
-    out = np.empty(len(gammas))
-    eye = np.eye(op.size)
-    for m, gam in enumerate(gammas):
-        mat = c * eye + op.delta
-        vals = {k: float(np.sum(sgn[k] * np.exp(lg[k] + gam * u)) * _DU)
-                for k in lg}
-        for i, row in enumerate(op.entries):
-            for j, ker in enumerate(row):
-                if ker is not None:
-                    mat[i, j] += vals[id(ker)]
-        out[m] = np.linalg.det(mat)
-    return out
+def _axis_roots(op: MellinOperator, c: float, grid: np.ndarray,
+                tol: float, xtol: float) -> list[float]:
+    """Zeros of the line determinant on a gamma grid: sign changes refined
+    by brentq, and zeros that touch 0 without crossing, found as minima of
+    |det| at or below tol (relative to the largest |det| on the grid).
+
+    A touching zero between two nodes leaves |det| of order h^2 at the
+    nearest node, so only local minima below 1e-3 of the scale are refined.
+    """
+    dets = line_determinant(op, c, grid)
+    absd = np.abs(dets)
+    scale = max(1.0, float(np.max(absd)))
+    roots = []
+    for i in range(len(grid) - 1):
+        if dets[i] == 0.0:
+            roots.append(float(grid[i]))
+        elif dets[i] * dets[i + 1] < 0:
+            roots.append(float(optimize.brentq(
+                lambda g: line_determinant(op, c, g), grid[i], grid[i + 1],
+                xtol=xtol)))
+        elif i > 0 and dets[i - 1] * dets[i + 1] > 0 \
+                and absd[i - 1] > absd[i] <= absd[i + 1] \
+                and absd[i] <= 1e-3 * scale:
+            res = optimize.minimize_scalar(
+                lambda g: abs(line_determinant(op, c, g)),
+                bounds=(grid[i - 1], grid[i + 1]), method="bounded",
+                options={"xatol": 1e-3 * xtol})
+            if res.fun <= tol * scale:
+                roots.append(float(res.x))
+    return roots
 
 
 def admissible_weight_window(op: MellinOperator, c: float,
@@ -518,15 +545,18 @@ def admissible_weight_window(op: MellinOperator, c: float,
                              tol: float = SCAN_TOL,
                              vertex_id: str | None = None) -> WindowReport:
     """Maximal interval of weights a around the reference on which the line
-    symbol is invertible.
+    symbol is invertible; the window is None when there is no such interval.
 
-    The symbol degenerates only where the line crosses a symbol zero; for
-    the real kernels here those zeros sit on the imaginary axis, where the
-    determinant of c*I + symbol is real and changes sign.  Endpoints are the
+    That happens when the symbol is singular on the reference line itself:
+    c*I + J singular at a crack tip, or a symbol zero on the reference line.
+    Otherwise the symbol degenerates only where the line crosses a symbol
+    zero; for the real kernels here those zeros sit on the imaginary axis,
+    where the determinant of c*I + symbol is real.  Endpoints are the
     nearest determinant roots around gamma(0), refined to 1e-6, and the
     interior is cross-checked by invertibility scans (which also catch any
     degeneracy away from the imaginary axis).
     """
+    vid = vertex_id or op.vertex_id
     lo_s, hi_s = validity_strip(op)
     pad = max(2e-2, 0.0 if hi_s - lo_s > 1.0 else 0.1 * (hi_s - lo_s))
     gs = sorted(min(max(line.with_weight(a).gamma, lo_s + pad), hi_s - pad)
@@ -535,23 +565,18 @@ def admissible_weight_window(op: MellinOperator, c: float,
     if g_hi - g_lo <= 0:
         raise MellinError("empty weight search interval after strip clipping")
 
-    grid = np.linspace(g_lo, g_hi, 241)
-    dets = _dense_line_determinants(op, c, grid)
-    if np.max(np.abs(dets)) <= tol:
-        raise MellinError("no invertible weight found in the search interval")
-
-    roots = []
-    for i in range(len(grid) - 1):
-        if dets[i] == 0.0:
-            roots.append(float(grid[i]))
-        elif dets[i] * dets[i + 1] < 0:
-            roots.append(float(optimize.brentq(
-                lambda g: line_determinant(op, c, g), grid[i], grid[i + 1],
-                xtol=ENDPOINT_TOL * abs(line.slope))))
+    def weight(gam):
+        return (gam - line.intercept) / line.slope
 
     g_ref = line.intercept
     if not g_lo <= g_ref <= g_hi:
         g_ref = 0.5 * (g_lo + g_hi)
+    if not invertibility_scan(op, c, line.with_weight(weight(g_ref)),
+                              tol=tol).invertible:
+        return WindowReport(c, {vid: None}, None)
+
+    roots = _axis_roots(op, c, np.linspace(g_lo, g_hi, 241), tol,
+                        ENDPOINT_TOL * abs(line.slope))
     below = [r for r in roots if r < g_ref]
     above = [r for r in roots if r > g_ref]
     w_lo = max(below) if below else g_lo
@@ -562,7 +587,7 @@ def admissible_weight_window(op: MellinOperator, c: float,
     margins_a, margins = [], []
     interior = np.linspace(w_lo, w_hi, 9)[1:-1]
     for gam in interior:
-        a = (gam - line.intercept) / line.slope
+        a = weight(gam)
         res = invertibility_scan(op, c, line.with_weight(a), tol=tol)
         margins_a.append(a)
         margins.append(res.margin)
@@ -572,27 +597,8 @@ def admissible_weight_window(op: MellinOperator, c: float,
             else:
                 w_hi = min(w_hi, gam)
 
-    a_ends = sorted(((w_lo - line.intercept) / line.slope,
-                     (w_hi - line.intercept) / line.slope))
+    a_ends = sorted((weight(w_lo), weight(w_hi)))
     window = (float(a_ends[0]), float(a_ends[1]))
-    vid = vertex_id or op.vertex_id
     order = np.argsort(margins_a)
     return WindowReport(c, {vid: window}, window,
                         (np.array(margins_a)[order], np.array(margins)[order]))
-
-
-def merge_windows(reports) -> WindowReport:
-    """Intersect per-vertex windows into a global admissible window."""
-    reports = list(reports)
-    if not reports:
-        raise ValueError("no window reports to merge")
-    c = reports[0].c
-    per_vertex = {}
-    lo, hi = -math.inf, math.inf
-    for r in reports:
-        per_vertex.update(r.per_vertex)
-        for w in r.per_vertex.values():
-            lo = max(lo, w[0])
-            hi = min(hi, w[1])
-    window = (lo, hi) if lo < hi else None
-    return WindowReport(c, per_vertex, window)

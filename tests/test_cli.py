@@ -8,7 +8,7 @@ from click.testing import CliRunner
 
 from polyfred.cli import ExprError, main, parse_boundary_data
 
-from conftest import domain_path
+from conftest import ALL_DOMAINS, domain_path
 
 
 @pytest.fixture()
@@ -99,6 +99,51 @@ def test_window_square(runner):
     assert abs(hi - 2.0 / 3.0) <= 1e-6
     assert rep["reference_window"][1] == 0.5
     assert rep["margin_curve"][0] == ["a", "margin", "witness_xi"]
+
+
+# Vertices with no admissible weight at all: crack tips at c = +-1, where
+# c*I + J is singular, and right-angle strata at c = 1/2, where a symbol
+# zero touches the reference line a = 0 (so the square's window is empty).
+EMPTY_WINDOWS = {
+    1.0: {"slit_square": {"p#c0", "t#c0"}, "slit_disk": {"t#c0"},
+          "tcrack_square": {"t1#c0", "t2#c0", "t3#c0"}},
+    0.5: {"square": {"a", "b", "c", "d"},
+          "lshape": {"v0", "v1", "v2", "v3", "v4", "v5"},
+          "slit_square": {"a", "b", "c", "d"},
+          "slit_disk": {"j#c0", "j#c1"},
+          "tcrack_square": {"a", "b", "c", "d", "j#c0", "j#c1"}},
+}
+EMPTY_WINDOWS[-1.0] = EMPTY_WINDOWS[1.0]
+
+
+def _no_constants(name):
+    raise ValueError(f"non-finite number {name} in the JSON report")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("c", (1.0, -1.0, 0.5))
+@pytest.mark.parametrize("name", ALL_DOMAINS)
+def test_window_matrix(runner, name, c):
+    res = runner.invoke(main, ["window", domain_path(name), "--c", repr(c)])
+    assert res.exit_code == 0
+    rep = json.loads(res.stdout, parse_constant=_no_constants)
+    per_vertex = rep["per_vertex"]
+    windows = [w for w in per_vertex.values() if w is not None]
+    assert {v for v, w in per_vertex.items() if w is None} \
+        == EMPTY_WINDOWS[c].get(name, set())
+    for lo, hi in windows:
+        assert -1.2 <= lo < 0.0 < hi <= 1.2
+    glob, curve = rep["global_window"], rep["margin_curve"]
+    if not per_vertex:
+        # vertex-free: Fredholm on the whole search range, no margin curve
+        assert glob == [-1.2, 1.2]
+        assert curve == [["a", "margin", "witness_xi"]]
+    elif len(windows) < len(per_vertex):
+        assert glob is None
+        assert len(curve) == 1
+    else:
+        assert glob == [max(w[0] for w in windows), min(w[1] for w in windows)]
+        assert len(curve) == 22
 
 
 # -- solve -----------------------------------------------------------------

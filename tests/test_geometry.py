@@ -260,6 +260,40 @@ def test_smoothed_distance_bounds(x, y):
         assert r >= min(dist, min(d.epsilon.values())) - 1e-12
 
 
+def _smoothed_distance_one(d, p):
+    """Point-by-point reference: nearest collar by distance - eps, the first
+    vertex winning ties, then the identity / quintic blend / plateau."""
+    if not d.vertices:
+        return d.options.get("epsilon_smooth", 0.25)
+    best = None
+    for vid, v in d.vertices.items():
+        dist, eps = float(np.linalg.norm(p - v.pos)), d.epsilon[vid]
+        if best is None or dist - eps < best[0] - best[1]:
+            best = (dist, eps)
+    dist, eps = best
+    if dist >= eps:
+        return eps
+    if dist <= eps / 2:
+        return dist
+    s = (dist - eps / 2) / (eps / 2)
+    return eps / 2 * (1.0 + s + 4 * s**3 - 7 * s**4 + 3 * s**5)
+
+
+@pytest.mark.parametrize("name", ("square", "lshape", "circle",
+                                  "tcrack_square"))
+def test_smoothed_distance_vectorized(name):
+    d = parse_domain(domain_path(name))
+    rng = np.random.default_rng(7)
+    pts = rng.uniform(-1.5, 1.5, size=(200, 2))
+    for k, v in enumerate(d.vertices.values()):
+        pts[k] = v.pos
+    r = smoothed_distance(d, pts)
+    assert r.shape == (200,)
+    want = [_smoothed_distance_one(d, p) for p in pts]
+    assert np.allclose(r, want, rtol=1e-14, atol=0.0)
+    assert all(smoothed_distance(d, p) == x for p, x in zip(pts[:20], r))
+
+
 def test_smoothed_distance_monotone_along_ray(square):
     v = square.vertex("a").pos
     ts = np.linspace(0.0, 1.0, 200)

@@ -15,7 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyfred.groupoid import MellinOperator
+from polyfred.geometry import desingularize_boundary, parse_domain, unfold
+from polyfred.groupoid import MellinOperator, build_groupoid, limit_operator
+from polyfred.layerpot import np_operator_descriptor
 from polyfred.mellin import (
     MellinError,
     MellinSymbol,
@@ -32,6 +34,8 @@ from polyfred.mellin import (
     validity_strip,
     wedge_np_kernel,
 )
+
+from conftest import ALL_DOMAINS, domain_path
 
 THETAS = (math.pi / 3, math.pi / 2, 2.0 * math.pi / 3, 1.5 * math.pi)
 
@@ -79,6 +83,90 @@ def test_closed_form_against_mpmath(theta, lam):
 
     val = mpmath.quad(integrand, [0, 1, mpmath.inf])
     assert abs(complex(val) - closed_form(theta, lam)) <= 1e-10
+
+
+def _stratum_kernels():
+    """(fixture, vertex id, kernel) for every kernel of every limit operator
+    of every fixture."""
+    out = []
+    for name in ALL_DOMAINS:
+        u = unfold(parse_domain(domain_path(name)))
+        P = np_operator_descriptor(u, 1.0)
+        for stratum in build_groupoid(desingularize_boundary(u)).boundary_strata:
+            op = limit_operator(P, stratum)
+            out.extend((name, stratum.vertex_id, ker)
+                       for row in op.entries for ker in row if ker is not None)
+    return out
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_closed_form_symbols_match_quadrature():
+    """Every stratum kernel's closed-form symbol against the quadrature of
+    mellin_transform, on and off the real axis and out to |xi| = 800.
+    Kernels with equal values share one quadrature reference."""
+    lams = np.array([0.0, 0.37, -2.5, 11.0, 0.6 + 0.45j, -3.0 - 0.7j,
+                     0.95j, -0.9j, 40.0 + 0.9j, 200.0 - 0.3j, -800.0 + 0.5j,
+                     800.0])
+    probe = np.array([0.3, 1.7, 4.0])
+    reference = {}
+    kernels = _stratum_kernels()
+    assert len(kernels) >= 50
+    for name, vid, ker in kernels:
+        key = tuple(np.round(ker(probe), 12))
+        if key not in reference:
+            op = MellinOperator("k", 1, ((ker,),), np.zeros((1, 1)))
+            reference[key] = np.array([mellin_transform(op, lam)[0, 0]
+                                       for lam in lams])
+        err = np.max(np.abs(ker.symbol(lams) - reference[key]))
+        assert err <= 1e-8, (name, vid, err)
+
+
+def test_line_samples_fallback_without_closed_form():
+    # a kernel with no hints goes through the trapezoid line sampler
+    wedge = wedge_np_kernel(math.pi / 2)
+    kappa = wedge.entries[0][1]
+    bare = MellinOperator("bare", 2, ((None, lambda t: kappa(t)),
+                                      (lambda t: kappa(t), None)),
+                          np.zeros((2, 2)))
+    xi = np.array([0.0, 0.7, 3.0, 11.0])
+    for gamma in (0.0, -0.5, 0.4):
+        fast = _line_samples(bare, gamma, xi)
+        assert np.max(np.abs(fast - _line_samples(wedge, gamma, xi))) <= 1e-9
+
+
+def test_line_determinant_vectorized():
+    op = wedge_np_kernel(2.0 * math.pi / 3)
+    grid = np.linspace(-0.9, 0.9, 31)
+    dets = line_determinant(op, 0.75, grid)
+    assert dets.shape == grid.shape
+    assert np.allclose(dets, [line_determinant(op, 0.75, g) for g in grid],
+                       rtol=0.0, atol=1e-15)
+
+
+def test_window_empty_when_reference_is_singular():
+    # c = 1/2 at a right angle: det(c + K(i*gamma)) touches 0 at gamma = 0
+    rep = admissible_weight_window(wedge_np_kernel(math.pi / 2), 0.5)
+    assert rep.global_window is None
+    assert rep.per_vertex == {"wedge": None}
+    assert not rep.contains(-0.1, 0.1)
+    # a crack tip at c = +-1: c*I + J is singular for every weight
+    tip = MellinOperator("tip", 2, ((None, None), (None, None)),
+                         np.array([[0.0, -1.0], [-1.0, 0.0]]))
+    for c in (1.0, -1.0):
+        assert admissible_weight_window(tip, c).global_window is None
+    assert admissible_weight_window(tip, 3.0).global_window == (-1.5, 1.5)
+
+
+def test_window_ends_at_touching_zero():
+    # with the reference line moved to gamma = 0.3, the zero that touches 0
+    # at gamma = 0 (a = 0.3) bounds the window without a sign change; no
+    # interior scan sample lands on it for this search range
+    line = WeightLine(0.0, slope=-1.0, intercept=0.3)
+    rep = admissible_weight_window(wedge_np_kernel(math.pi / 2), 0.5,
+                                   search=(-0.5, 1.5), line=line)
+    lo, hi = rep.global_window
+    assert abs(hi - 0.3) <= 1e-6
+    assert abs(lo + 0.5) <= 1e-12
 
 
 def test_flat_wedge_is_removable_zero():
