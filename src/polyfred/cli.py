@@ -266,7 +266,7 @@ def window(domain_file, a_min, a_max, c, tol, xi_max, calibration, out, fmt,
         d = parse_domain(domain_file)
         line = _load_line(calibration)
         rep = layerpot.domain_windows(d, c, line=line, search=(a_min, a_max),
-                                      tol=tol)
+                                      tol=tol, xi_max=xi_max)
     except (DomainError, MellinError, ValueError, OSError) as exc:
         _fail(str(exc))
     margin_rows = [("a", "margin", "witness_xi")]
@@ -274,12 +274,13 @@ def window(domain_file, a_min, a_max, c, tol, xi_max, calibration, out, fmt,
     if rep.global_window and rep.per_vertex:
         lo, hi = rep.global_window
         for a in np.linspace(max(a_min, lo + 1e-3), min(a_max, hi - 1e-3), 21):
-            v = layerpot.fredholm_verdict(d, c, float(a), line=line, tol=tol)
+            v = layerpot.fredholm_verdict(d, c, float(a), line=line, tol=tol,
+                                          xi_max=xi_max)
             worst = min(v.per_vertex.values(), key=lambda r: r.margin)
             margin_rows.append((float(a), worst.margin, worst.witness_xi))
     report = {
         "config": _config_echo(domain=domain_file, c=c, a_min=a_min,
-                               a_max=a_max, tol=tol,
+                               a_max=a_max, tol=tol, xi_max=xi_max,
                                calibration=calibration),
         "per_vertex": {k: list(w) if w else None
                        for k, w in rep.per_vertex.items()},

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import lapack
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from . import geometry
 from .geometry import (
@@ -44,6 +46,12 @@ from .mellin import (
 
 INCONCLUSIVE_MARGIN = 1e-3
 SOLVE_RESIDUAL_TOL = 1e-10
+# singular values at or below this are rounding level (the dense SVD of an
+# exactly singular operator lands there too); a study ending there decays
+ROUNDING_SIGMA = 1e-12
+# a Lanczos singular value is kept when its residual puts it within this
+# relative distance (plus ROUNDING_SIGMA) of a singular value of B
+SIGMA_CERT_RTOL = 1e-8
 
 
 # -- pointwise kernel ------------------------------------------------------
@@ -416,7 +424,8 @@ def fredholm_verdict(d: ConicalDomain, c: float, a: float,
 def domain_windows(d: ConicalDomain, c: float,
                    line: WeightLine = WeightLine(0.0),
                    search: tuple[float, float] = (-1.2, 1.2),
-                   tol: float = mellin.SCAN_TOL) -> WindowReport:
+                   tol: float = mellin.SCAN_TOL,
+                   xi_max: float = mellin.XI_MAX_DEFAULT) -> WindowReport:
     """Admissible weight window per vertex stratum, intersected globally.
 
     Every stratum goes through its limit operator, whose kernels carry
@@ -432,7 +441,8 @@ def domain_windows(d: ConicalDomain, c: float,
     for stratum in G.boundary_strata:
         rep = admissible_weight_window(limit_operator(P, stratum), c, search,
                                        line, tol=tol,
-                                       vertex_id=stratum.vertex_id)
+                                       vertex_id=stratum.vertex_id,
+                                       xi_max=xi_max)
         per_vertex[stratum.vertex_id] = rep.global_window
     ends = list(per_vertex.values())
     lo = max([min(search)] + [w[0] for w in ends if w])
@@ -513,6 +523,68 @@ def weighted_discrete_operator(d, c: float, a: float, mesh: BoundaryMesh
     return B
 
 
+def _smallest_singular_values(B: np.ndarray, k: int) -> np.ndarray:
+    """The k smallest singular values of the square matrix B, ascending.
+
+    B is factored once by LU.  Lanczos (ARPACK, fixed start vector) finds
+    the largest eigenvalue 1/sigma^2 of x -> B^-T B^-1 x, k times in turn,
+    each time with the singular pairs found so far projected out on both
+    sides, so a repeated smallest singular value is found as often as it
+    occurs.  Its eigenvector u is a left singular vector, and v = B^-1 u
+    (orthogonal to the earlier v) the right one.  Each sigma is the Rayleigh
+    value u^T B v of B itself, and the residual r of the pair, also computed
+    with B, puts a singular value of B within r of it.  The values are kept
+    only when every r <= SIGMA_CERT_RTOL * sigma + ROUNDING_SIGMA.  Pivots
+    below eps * max|U_ii| (the crack operators at c = +-1 are exactly
+    singular) are set to +-eps * max|U_ii|, a rounding-size backward
+    perturbation like the dense SVD's own.  A failed certificate, an ARPACK
+    error (no convergence included) or non-finite output falls back to the
+    dense SVD: gesdd, then gesvd if gesdd fails.
+    """
+    n = len(B)
+    lu, piv, _ = lapack.dgetrf(B)
+    pivots = np.abs(lu.diagonal())
+    floor = np.finfo(float).eps * pivots.max()
+    if k < n and floor > 0.0 and np.isfinite(lu).all():
+        tiny = np.flatnonzero(pivots < floor)
+        lu[tiny, tiny] = np.copysign(floor, lu[tiny, tiny])
+        U, V = np.zeros((n, 0)), np.zeros((n, 0))
+
+        def deflated_inv_gram(x):
+            y = lapack.dgetrs(lu, piv, x - U @ (U.T @ x))[0]
+            z = lapack.dgetrs(lu, piv, y - V @ (V.T @ y), trans=1)[0]
+            return z - U @ (U.T @ z)
+
+        start = np.random.default_rng(0).standard_normal(n)
+        op = LinearOperator((n, n), matvec=deflated_inv_gram, dtype=float)
+        try:
+            for _ in range(k):
+                u = eigsh(op, k=1, v0=start - U @ (U.T @ start), tol=0.0)[1]
+                y = lapack.dgetrs(lu, piv, u)[0]
+                v = y - V @ (V.T @ y)
+                U = np.hstack([U, u])
+                V = np.hstack([V, v / np.linalg.norm(v)])
+        except ArpackError:
+            pass
+        else:
+            BV = B @ V
+            sigma = np.einsum("ij,ij->j", U, BV)
+            # [u; v] / sqrt(2) is a unit vector of [[0, B], [B^T, 0]], whose
+            # eigenvalues are the +-sigma_j of B
+            residual = np.sqrt(0.5 * (
+                np.linalg.norm(BV - U * sigma, axis=0) ** 2
+                + np.linalg.norm(B.T @ U - V * sigma, axis=0) ** 2))
+            sigma = np.abs(sigma)
+            if np.all(residual <= SIGMA_CERT_RTOL * sigma + ROUNDING_SIGMA):
+                return np.sort(sigma)
+    try:
+        svals = np.linalg.svd(B, compute_uv=False)
+    except np.linalg.LinAlgError:
+        # gesdd can fail on badly scaled weights; gesvd is slower but robust
+        svals = scipy.linalg.svd(B, compute_uv=False, lapack_driver="gesvd")
+    return svals[::-1][:k]
+
+
 def min_singular_value_study(d, c: float, a: float,
                              mesh_sizes=(8, 16, 32, 64), q: float = 0.5,
                              deflate: int = 0, jobs: int = 1) -> StudyResult:
@@ -528,19 +600,28 @@ def min_singular_value_study(d, c: float, a: float,
     a > 0 the weight excludes densities that are nonzero at a vertex, yet
     truncated graded meshes readmit them as slowly vanishing pseudo-modes,
     so bounded-below operators can still show decay there.
+
+    Per mesh only the deflate + 1 smallest singular values are computed
+    (``_smallest_singular_values``): one LU factorization of the weighted
+    matrix, then Lanczos on its inverse Gram operator, each value certified
+    by a residual computed with the matrix itself.  An uncertified value,
+    an ARPACK error or non-finite output sends the mesh to the dense SVD
+    (gesdd, then gesvd).  Values below ROUNDING_SIGMA are rounding level
+    with either method.
     """
+    if deflate < 0:
+        raise ValueError("deflate must be >= 0")
+
     def one(n):
         # grading depth grows with n but is capped so that the smallest
         # panels (and the weight r^(-1/2-a)) stay within double precision
         mesh = _mesh_for(d, n, q, max(4, min(n // 2, 24)))
+        if deflate >= mesh.size:
+            raise ValueError(f"deflate {deflate} leaves no singular value "
+                             f"of a {mesh.size}-node mesh")
         B = weighted_discrete_operator(d, c, a, mesh)
-        try:
-            svals = np.linalg.svd(B, compute_uv=False)
-        except np.linalg.LinAlgError:
-            # gesdd can fail on badly scaled weights; gesvd is slower but robust
-            svals = scipy.linalg.svd(B, compute_uv=False,
-                                     lapack_driver="gesvd")
-        return (n, mesh.size, float(svals[-(1 + deflate)]))
+        sigma = _smallest_singular_values(B, 1 + deflate)[-1]
+        return (n, mesh.size, float(sigma))
 
     if jobs > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -551,7 +632,7 @@ def min_singular_value_study(d, c: float, a: float,
     logN = np.log([r[1] for r in rows[-3:]])
     logS = np.log(np.maximum([r[2] for r in rows[-3:]], 1e-300))
     slope = float(np.polyfit(logN, logS, 1)[0])
-    if rows[-1][2] < 1e-12 or slope < -0.4:
+    if rows[-1][2] < ROUNDING_SIGMA or slope < -0.4:
         trend = "decaying"
     elif slope > -0.15:
         trend = "bounded-below"

@@ -90,7 +90,9 @@ def ray_pair_symbol(d: float, side: int):
     e^(-d lam) expm1(-2 (pi - d) lam) / expm1(-2 pi lam), which equals
     (e^(-d lam) - e^(-(2 pi - d) lam)) / (1 - e^(-2 pi lam)).  Every exponent
     has non-positive real part, so nothing overflows, and expm1 keeps full
-    precision near lam = 0, where the limit is side * (pi - d) / pi.
+    precision near lam = 0.  For |lam| < 1e-9 the limit side * (pi - d) / pi
+    is returned: it is exact to O(lam^2), and the quotient of two subnormal
+    expm1 values would overflow.
     """
     if d > math.pi:
         d, side = 2.0 * math.pi - d, -side
@@ -99,7 +101,7 @@ def ray_pair_symbol(d: float, side: int):
     def symbol(lam):
         lam = np.asarray(lam, dtype=complex)
         lam = np.where(lam.real < 0.0, -lam, lam)
-        zero = lam == 0.0
+        zero = np.abs(lam) < 1e-9
         lam = np.where(zero, 1.0, lam)
         val = side * np.exp(-d * lam) * np.expm1(-2.0 * (math.pi - d) * lam) \
             / np.expm1(-2.0 * math.pi * lam)
@@ -543,7 +545,8 @@ def admissible_weight_window(op: MellinOperator, c: float,
                              search: tuple[float, float] = (-1.5, 1.5),
                              line: WeightLine = WeightLine(0.0),
                              tol: float = SCAN_TOL,
-                             vertex_id: str | None = None) -> WindowReport:
+                             vertex_id: str | None = None,
+                             xi_max: float = XI_MAX_DEFAULT) -> WindowReport:
     """Maximal interval of weights a around the reference on which the line
     symbol is invertible; the window is None when there is no such interval.
 
@@ -572,7 +575,7 @@ def admissible_weight_window(op: MellinOperator, c: float,
     if not g_lo <= g_ref <= g_hi:
         g_ref = 0.5 * (g_lo + g_hi)
     if not invertibility_scan(op, c, line.with_weight(weight(g_ref)),
-                              tol=tol).invertible:
+                              xi_max=xi_max, tol=tol).invertible:
         return WindowReport(c, {vid: None}, None)
 
     roots = _axis_roots(op, c, np.linspace(g_lo, g_hi, 241), tol,
@@ -588,7 +591,8 @@ def admissible_weight_window(op: MellinOperator, c: float,
     interior = np.linspace(w_lo, w_hi, 9)[1:-1]
     for gam in interior:
         a = weight(gam)
-        res = invertibility_scan(op, c, line.with_weight(a), tol=tol)
+        res = invertibility_scan(op, c, line.with_weight(a), xi_max=xi_max,
+                                 tol=tol)
         margins_a.append(a)
         margins.append(res.margin)
         if not res.invertible:

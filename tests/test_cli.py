@@ -1,11 +1,13 @@
 """Command line interface: subcommands, exit codes, and the expression grammar."""
 
+import inspect
 import json
 import math
 
 import pytest
 from click.testing import CliRunner
 
+from polyfred import layerpot, mellin
 from polyfred.cli import ExprError, main, parse_boundary_data
 
 from conftest import ALL_DOMAINS, domain_path
@@ -146,6 +148,33 @@ def test_window_matrix(runner, name, c):
         assert len(curve) == 22
 
 
+def test_window_xi_max_reaches_scans(runner, monkeypatch):
+    # --xi-max sets the starting scan range of the window search and of
+    # every margin-curve verdict
+    seen = {"window": [], "verdict": []}
+    scan = mellin.invertibility_scan
+    sig = inspect.signature(scan)
+
+    def recording(where):
+        def wrapped(*args, **kwargs):
+            bound = sig.bind(*args, **kwargs)
+            bound.apply_defaults()
+            seen[where].append(bound.arguments["xi_max"])
+            return scan(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(mellin, "invertibility_scan", recording("window"))
+    monkeypatch.setattr(layerpot, "invertibility_scan", recording("verdict"))
+    res = runner.invoke(main, ["window", domain_path("square"),
+                               "--xi-max", "80"])
+    assert res.exit_code == 0
+    rep = json.loads(res.stdout)
+    assert rep["config"]["xi_max"] == 80.0
+    assert len(rep["margin_curve"]) == 22
+    assert seen["window"] and set(seen["window"]) == {80.0}
+    assert len(seen["verdict"]) == 21 * 4 and set(seen["verdict"]) == {80.0}
+
+
 # -- solve -----------------------------------------------------------------
 
 def test_solve_square(runner):
@@ -193,6 +222,48 @@ def test_study_csv_output(runner, tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0].startswith("n,")
     assert len(lines) == 4
+
+
+# -- every fixture through analyze and study -------------------------------
+
+def _not_fredholm_at_zero(name, c):
+    # the reference weight a = 0 is admissible exactly where every vertex
+    # has a window (see EMPTY_WINDOWS)
+    return EMPTY_WINDOWS[c].get(name, set())
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("c", (1.0, -1.0, 0.5, 0.0))
+@pytest.mark.parametrize("name", ALL_DOMAINS)
+def test_analyze_matrix(runner, name, c):
+    res = runner.invoke(main, ["analyze", domain_path(name), "--c", repr(c)])
+    rep = json.loads(res.stdout, parse_constant=_no_constants)
+    if c == 0.0:
+        assert res.exit_code == 1
+        assert rep["verdict"] == "not Fredholm"
+        assert rep["elliptic"] is False
+        return
+    witnesses = _not_fredholm_at_zero(name, c)
+    assert res.exit_code == (1 if witnesses else 0)
+    assert rep["verdict"] == ("not Fredholm" if witnesses else "Fredholm")
+    assert set(rep["witnesses"]) == witnesses
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("c", (1.0, -1.0, 0.5))
+@pytest.mark.parametrize("name", ALL_DOMAINS)
+def test_study_matrix(runner, name, c):
+    res = runner.invoke(main, ["study", domain_path(name), "--c", repr(c),
+                               "--mesh-n", "8", "--mesh-n", "16",
+                               "--mesh-n", "32"])
+    assert res.exit_code == 0
+    rep = json.loads(res.stdout, parse_constant=_no_constants)
+    assert rep["trend"] in ("bounded-below", "decaying", "inconclusive")
+    assert rep["config"]["deflate"] == (1 if c == -1.0 else 0)
+    header, *rows = rep["table"]
+    assert header == ["n", "nodes", "sigma"]
+    assert [r[0] for r in rows] == [8, 16, 32]
+    assert all(r[2] >= 0.0 for r in rows)
 
 
 # -- calibrate -------------------------------------------------------------

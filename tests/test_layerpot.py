@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import ArpackNoConvergence
 
 import polyfred as pf
 import polyfred.layerpot as lp
@@ -13,6 +15,7 @@ from polyfred.layerpot import (
     WeightedNormSpec,
     _graded_breaks,
     _mesh_for,
+    _smallest_singular_values,
     assemble_np,
     double_layer_potential,
     fredholm_verdict,
@@ -26,7 +29,7 @@ from polyfred.layerpot import (
 )
 from polyfred.mellin import WeightLine
 
-from conftest import domain_path
+from conftest import ALL_DOMAINS, domain_path
 
 INV_2PI = 1.0 / (2.0 * math.pi)
 
@@ -331,3 +334,113 @@ def test_study_jobs_agree(square):
     threaded = min_singular_value_study(square, 1.0, 0.0,
                                         mesh_sizes=(8, 16, 32), jobs=3)
     assert serial.rows == threaded.rows
+
+
+# -- smallest singular values ----------------------------------------------
+
+def _dense_smallest(B, k):
+    return np.linalg.svd(B, compute_uv=False)[::-1][:k]
+
+
+def _study_matrix(d, c, a, n):
+    mesh = _mesh_for(d, n, 0.5, max(4, min(n // 2, 24)))
+    return weighted_discrete_operator(d, c, a, mesh)
+
+
+def _no_dense_svd(*args, **kwargs):
+    raise AssertionError("the dense SVD fallback fired")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", ALL_DOMAINS)
+def test_smallest_singular_values_match_dense(name, monkeypatch):
+    # the Lanczos values agree with the dense SVD to 1e-10 relative, or both
+    # sit at rounding level, and every study trend is the same; on these
+    # meshes no value needs the dense fallback
+    d = pf.parse_domain(domain_path(name))
+    for c in (1.0, -1.0, 0.5):
+        for deflate in (0, 1):
+            with monkeypatch.context() as m:
+                m.setattr(np.linalg, "svd", _no_dense_svd)
+                m.setattr(scipy.linalg, "svd", _no_dense_svd)
+                fast = min_singular_value_study(d, c, 0.0,
+                                                mesh_sizes=(8, 16, 32),
+                                                deflate=deflate)
+            with monkeypatch.context() as m:
+                m.setattr(lp, "_smallest_singular_values", _dense_smallest)
+                dense = min_singular_value_study(d, c, 0.0,
+                                                 mesh_sizes=(8, 16, 32),
+                                                 deflate=deflate)
+            assert fast.trend == dense.trend
+            for (_, _, got), (_, _, want) in zip(fast.rows, dense.rows):
+                if want > 1e-12:
+                    assert abs(got - want) <= 1e-10 * want
+                else:
+                    assert got <= 1e-12
+
+
+@pytest.mark.filterwarnings("error")
+def test_smallest_singular_values_exact_zero_pivot(tcrack_square,
+                                                   monkeypatch):
+    # c = -1 on the T-shaped crack is exactly singular; LU meets a pivot that
+    # is exactly zero, which must neither warn nor leave the fast path
+    B = _study_matrix(tcrack_square, -1.0, -0.25, 8)
+    lu = scipy.linalg.lapack.dgetrf(B)[0]
+    assert np.any(np.diagonal(lu) == 0.0)
+    want = _dense_smallest(B, 2)
+    monkeypatch.setattr(np.linalg, "svd", _no_dense_svd)
+    got = _smallest_singular_values(B, 2)
+    assert np.all(got <= 1e-12) and np.all(want <= 1e-12)
+
+
+def test_smallest_singular_values_fallback_on_no_convergence(square,
+                                                             monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise ArpackNoConvergence("forced", np.zeros(0), np.zeros((0, 0)))
+
+    monkeypatch.setattr(lp, "eigsh", no_convergence)
+    B = _study_matrix(square, -1.0, 0.0, 16)
+    assert np.array_equal(_smallest_singular_values(B, 2),
+                          _dense_smallest(B, 2))
+
+
+def test_smallest_singular_values_fallback_on_failed_certificate(square,
+                                                                 monkeypatch):
+    # a vector that is no singular vector leaves a large residual, so the
+    # dense values are returned rather than its Rayleigh value
+    def wrong_vector(op, k, v0, tol):
+        return np.ones(k), (v0 / np.linalg.norm(v0))[:, None]
+
+    monkeypatch.setattr(lp, "eigsh", wrong_vector)
+    B = _study_matrix(square, 1.0, 0.0, 16)
+    assert np.array_equal(_smallest_singular_values(B, 1),
+                          _dense_smallest(B, 1))
+
+
+@pytest.mark.filterwarnings("error")
+def test_smallest_singular_values_circle_deflated(circle):
+    # -I + K annihilates constants; the rest of the spectrum is exactly 1 on
+    # the circle, and the huge 1/sigma_1^2 must not hide it
+    for n in (8, 16, 32, 64):
+        got = _smallest_singular_values(_study_matrix(circle, -1.0, 0.0, n), 2)
+        assert got[0] <= 1e-12
+        assert abs(got[1] - 1.0) <= 1e-10
+
+
+def test_smallest_singular_values_repeated_minimum(square):
+    # the square's symmetry makes the smallest singular value of I + K a
+    # double one: both copies are found before the next value
+    B = _study_matrix(square, 1.0, 0.0, 32)
+    want = _dense_smallest(B, 3)
+    assert abs(want[1] - want[0]) <= 1e-12 * want[0] < want[2] - want[1]
+    got = _smallest_singular_values(B, 3)
+    assert np.allclose(got, want, rtol=1e-10, atol=0.0)
+
+
+def test_study_rejects_bad_deflate(circle):
+    with pytest.raises(ValueError):
+        min_singular_value_study(circle, -1.0, 0.0, mesh_sizes=(8,),
+                                 deflate=-1)
+    with pytest.raises(ValueError):
+        min_singular_value_study(circle, -1.0, 0.0, mesh_sizes=(8,),
+                                 deflate=8)

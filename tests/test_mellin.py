@@ -28,6 +28,7 @@ from polyfred.mellin import (
     line_determinant,
     load_line_calibration,
     mellin_transform,
+    ray_pair_symbol,
     save_line_calibration,
     symbol_on_line,
     tail_majorant,
@@ -119,6 +120,24 @@ def test_closed_form_symbols_match_quadrature():
                                        for lam in lams])
         err = np.max(np.abs(ker.symbol(lams) - reference[key]))
         assert err <= 1e-8, (name, vid, err)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("d", (math.pi / 3, math.pi / 2, 2.0, 4.0))
+def test_closed_form_near_zero(d):
+    # subnormal lam must not reach the expm1 quotient; below |lam| = 1e-9
+    # the symbol equals its limit at 0 to rounding
+    symbol = ray_pair_symbol(d, 1)
+    limit = (math.pi - d) / math.pi
+    lams = np.array([5e-324j, 2.2250738585e-313j, 1e-300 + 1e-300j, 1e-20,
+                     1e-10j, -3e-9, 1e-8j, 1e-6 - 1e-6j])
+    got = symbol(lams)
+    with mpmath.workdps(40):
+        for lam, val in zip(lams, got):
+            ref = complex(mpmath.sinh((mpmath.pi - d) * mpmath.mpc(lam))
+                          / mpmath.sinh(mpmath.pi * mpmath.mpc(lam)))
+            assert abs(val - ref) <= 1e-14, (lam, val, ref)
+    assert np.allclose(got[:5], limit, rtol=1e-15, atol=0.0)
 
 
 def test_line_samples_fallback_without_closed_form():
