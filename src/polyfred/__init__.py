@@ -26,12 +26,11 @@ from .groupoid import (
 )
 from .mellin import (
     MellinError,
-    MellinSymbol,
     ScanResult,
-    WeightLine,
     WindowReport,
     admissible_weight_window,
     invertibility_scan,
+    line_offset,
     mellin_transform,
     symbol_on_line,
     wedge_np_kernel,
@@ -42,7 +41,6 @@ from .layerpot import (
     StudyResult,
     WeightedNormSpec,
     assemble_np,
-    calibrate_weight_line,
     domain_windows,
     double_layer_potential,
     fredholm_verdict,

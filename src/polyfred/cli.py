@@ -1,4 +1,4 @@
-"""Command line front-end: analyze | window | solve | study | calibrate.
+"""Command line front-end: analyze | window | solve | study.
 
 Exit codes for analyze: 0 Fredholm, 1 not Fredholm, 2 inconclusive, 3+
 error.  All reports echo the configuration and the tool version; tables can
@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__, layerpot, mellin
 from .geometry import DomainError, parse_domain
-from .mellin import MellinError, WeightLine
+from .mellin import MellinError
 
 
 # -- boundary data mini-expressions ---------------------------------------
@@ -141,13 +141,6 @@ def parse_boundary_data(text: str):
 
 # -- shared helpers --------------------------------------------------------
 
-def _load_line(calibration: str | None) -> WeightLine:
-    if calibration is None:
-        return WeightLine(0.0)
-    cal = mellin.load_line_calibration(calibration)
-    return WeightLine(0.0, slope=cal["slope"], intercept=cal["intercept"])
-
-
 def _emit(report: dict, out: str | None, fmt: str, table_key: str | None = None):
     if fmt == "csv" and table_key is not None:
         rows = report[table_key]
@@ -195,47 +188,38 @@ def main():
     """Fredholm analysis of layer potential operators c*I + K."""
 
 
-_common = [
-    click.option("--c", "c", type=float, default=1.0, show_default=True,
-                 help="scalar part of c*I + K"),
-    click.option("--tol", type=float, default=mellin.SCAN_TOL,
-                 show_default=True, help="invertibility tolerance"),
-    click.option("--xi-max", type=float, default=mellin.XI_MAX_DEFAULT,
-                 show_default=True, help="initial scan range on the line"),
-    click.option("--calibration", type=click.Path(exists=True), default=None,
-                 help="weight-line calibration file"),
-    click.option("--out", type=click.Path(), default=None,
-                 help="write the report here instead of stdout"),
-    click.option("--format", "fmt", type=click.Choice(["json", "csv"]),
-                 default="json", show_default=True),
-    click.option("--jobs", type=int, default=1, show_default=True,
-                 help="worker bound for parallel sections"),
-]
-
-
-def _with_common(cmd):
-    for opt in reversed(_common):
-        cmd = opt(cmd)
-    return cmd
+_c_option = click.option("--c", "c", type=float, default=1.0,
+                         show_default=True, help="scalar part of c*I + K")
+_tol_option = click.option("--tol", type=float, default=mellin.SCAN_TOL,
+                           show_default=True, help="invertibility tolerance")
+_xi_max_option = click.option("--xi-max", type=float,
+                              default=mellin.XI_MAX_DEFAULT, show_default=True,
+                              help="initial scan range on the line")
+_out_option = click.option("--out", type=click.Path(), default=None,
+                           help="write the report here instead of stdout")
+_format_option = click.option("--format", "fmt",
+                              type=click.Choice(["json", "csv"]),
+                              default="json", show_default=True)
 
 
 @main.command()
 @click.argument("domain_file", type=click.Path(exists=True))
 @click.option("--a", type=float, default=0.0, show_default=True,
               help="Sobolev weight index")
-@_with_common
-def analyze(domain_file, a, c, tol, xi_max, calibration, out, fmt, jobs):
+@_c_option
+@_tol_option
+@_xi_max_option
+@_out_option
+def analyze(domain_file, a, c, tol, xi_max, out):
     """Fredholm verdict for c*I + K on the weight-a scale."""
     try:
         d = parse_domain(domain_file)
-        line = _load_line(calibration)
-        v = layerpot.fredholm_verdict(d, c, a, line=line, tol=tol,
-                                      xi_max=xi_max)
+        v = layerpot.fredholm_verdict(d, c, a, tol=tol, xi_max=xi_max)
     except (DomainError, MellinError, ValueError, OSError) as exc:
         _fail(str(exc))
     report = {
         "config": _config_echo(domain=domain_file, c=c, a=a, tol=tol,
-                               xi_max=xi_max, calibration=calibration),
+                               xi_max=xi_max),
         "verdict": v.overall,
         "elliptic": v.elliptic,
         "witnesses": list(v.witnesses),
@@ -246,7 +230,7 @@ def analyze(domain_file, a, c, tol, xi_max, calibration, out, fmt, jobs):
                                  else r.witness_xi),
                   "xi_max_used": r.xi_max_used}
             for vid, r in v.per_vertex.items()},
-        "line_offset": v.line.gamma,
+        "line_offset": mellin.line_offset(a),
         "tolerances": {"scan": tol,
                        "inconclusive_margin": layerpot.INCONCLUSIVE_MARGIN},
     }
@@ -258,15 +242,17 @@ def analyze(domain_file, a, c, tol, xi_max, calibration, out, fmt, jobs):
 @click.argument("domain_file", type=click.Path(exists=True))
 @click.option("--a-min", type=float, default=-1.2, show_default=True)
 @click.option("--a-max", type=float, default=1.2, show_default=True)
-@_with_common
-def window(domain_file, a_min, a_max, c, tol, xi_max, calibration, out, fmt,
-           jobs):
+@_c_option
+@_tol_option
+@_xi_max_option
+@_out_option
+@_format_option
+def window(domain_file, a_min, a_max, c, tol, xi_max, out, fmt):
     """Admissible weight window per vertex and globally, with margin curve."""
     try:
         d = parse_domain(domain_file)
-        line = _load_line(calibration)
-        rep = layerpot.domain_windows(d, c, line=line, search=(a_min, a_max),
-                                      tol=tol, xi_max=xi_max)
+        rep = layerpot.domain_windows(d, c, search=(a_min, a_max), tol=tol,
+                                      xi_max=xi_max)
     except (DomainError, MellinError, ValueError, OSError) as exc:
         _fail(str(exc))
     margin_rows = [("a", "margin", "witness_xi")]
@@ -274,14 +260,13 @@ def window(domain_file, a_min, a_max, c, tol, xi_max, calibration, out, fmt,
     if rep.global_window and rep.per_vertex:
         lo, hi = rep.global_window
         for a in np.linspace(max(a_min, lo + 1e-3), min(a_max, hi - 1e-3), 21):
-            v = layerpot.fredholm_verdict(d, c, float(a), line=line, tol=tol,
+            v = layerpot.fredholm_verdict(d, c, float(a), tol=tol,
                                           xi_max=xi_max)
             worst = min(v.per_vertex.values(), key=lambda r: r.margin)
             margin_rows.append((float(a), worst.margin, worst.witness_xi))
     report = {
         "config": _config_echo(domain=domain_file, c=c, a_min=a_min,
-                               a_max=a_max, tol=tol, xi_max=xi_max,
-                               calibration=calibration),
+                               a_max=a_max, tol=tol, xi_max=xi_max),
         "per_vertex": {k: list(w) if w else None
                        for k, w in rep.per_vertex.items()},
         "global_window": (list(rep.global_window)
@@ -302,25 +287,23 @@ def window(domain_file, a_min, a_max, c, tol, xi_max, calibration, out, fmt,
 @click.option("--mesh-n", type=int, default=32, show_default=True)
 @click.option("--mesh-q", type=float, default=0.5, show_default=True)
 @click.option("--mesh-nc", type=int, default=12, show_default=True)
-@_with_common
-def solve(domain_file, g_expr, a, mesh_n, mesh_q, mesh_nc, c, tol, xi_max,
-          calibration, out, fmt, jobs):
+@_c_option
+@_out_option
+def solve(domain_file, g_expr, a, mesh_n, mesh_q, mesh_nc, c, out):
     """Dirichlet solve (c*I + K) phi = 2 g with interior error report."""
     try:
         d = parse_domain(domain_file)
         g = parse_boundary_data(g_expr)
-        line = _load_line(calibration)
         mesh = layerpot.graded_mesh(
             layerpot.desingularize_boundary(layerpot.unfold(d)),
             n=mesh_n, q=mesh_q, n_c=mesh_nc)
-        sol = layerpot.solve_dirichlet(d, g, c=c, a=a, mesh=mesh, line=line)
+        sol = layerpot.solve_dirichlet(d, g, c=c, a=a, mesh=mesh)
     except (DomainError, MellinError, ExprError, ValueError, OSError) as exc:
         _fail(str(exc))
     pts, errs = _interior_probe(d, sol, g)
     report = {
         "config": _config_echo(domain=domain_file, g=g_expr, c=c, a=a,
-                               mesh_n=mesh_n, mesh_q=mesh_q, mesh_nc=mesh_nc,
-                               calibration=calibration),
+                               mesh_n=mesh_n, mesh_q=mesh_q, mesh_nc=mesh_nc),
         "rhs_factor": sol.rhs_factor,
         "solve_residual": sol.residual,
         "interior_points_tested": len(pts),
@@ -375,17 +358,17 @@ def _inside(d, p, mesh) -> bool:
 @click.option("--deflate", type=int, default=None,
               help="skip this many smallest singular values "
                    "(default: 1 for c=-1, else 0)")
-@_with_common
-def study(domain_file, a, mesh_ns, mesh_q, deflate, c, tol, xi_max,
-          calibration, out, fmt, jobs):
+@_c_option
+@_out_option
+@_format_option
+def study(domain_file, a, mesh_ns, mesh_q, deflate, c, out, fmt):
     """Smallest singular value of the weighted operator under refinement."""
     try:
         d = parse_domain(domain_file)
         if deflate is None:
             deflate = 1 if c == -1.0 else 0
         res = layerpot.min_singular_value_study(
-            d, c, a, mesh_sizes=tuple(mesh_ns), q=mesh_q, deflate=deflate,
-            jobs=jobs)
+            d, c, a, mesh_sizes=tuple(mesh_ns), q=mesh_q, deflate=deflate)
     except (DomainError, MellinError, ValueError, OSError) as exc:
         _fail(str(exc))
     table = [("n", "nodes", "sigma")] + [list(r) for r in res.rows]
@@ -398,26 +381,6 @@ def study(domain_file, a, mesh_ns, mesh_q, deflate, c, tol, xi_max,
         "table": table,
     }
     _emit(report, out, fmt, table_key="table")
-    sys.exit(0)
-
-
-@main.command()
-@click.option("--domain-file", type=click.Path(exists=True), default=None,
-              help="model domain (default: built-in unit square)")
-@click.option("--c", "c", type=float, default=1.0, show_default=True)
-@click.option("--out", type=click.Path(), required=True,
-              help="calibration file consumed by the other subcommands")
-def calibrate(domain_file, c, out):
-    """Fit and persist the weight-to-line map gamma(a)."""
-    try:
-        d = parse_domain(domain_file) if domain_file else None
-        result = layerpot.calibrate_weight_line(d, c=c, out=out)
-    except (DomainError, MellinError, ValueError, OSError) as exc:
-        _fail(str(exc))
-    click.echo(json.dumps(result, indent=2))
-    if result["ambiguous"]:
-        click.echo("note: candidate line conventions are indistinguishable "
-                   "on this domain; defaulting to slope -1", err=True)
     sys.exit(0)
 
 

@@ -613,9 +613,6 @@ class UnfoldedDomain:
     def has_cracks(self) -> bool:
         return self.base.has_cracks
 
-    def vertex_strata_sizes(self) -> dict[str, int]:
-        return {uid: 2 * len(uv.sectors) for uid, uv in self.uvertices.items()}
-
 
 def unfold(d: ConicalDomain) -> UnfoldedDomain:
     """Unfolded domain; identity cover when d has no cracks."""
@@ -645,10 +642,6 @@ class DesingularizedBoundary:
             eps = u.base.epsilon[uv.base_vertex_id]
             self.collars.append(Collar(uid, eps, tuple(labels)))
         self.smooth_part = list(u.uedges.values())
-
-    @property
-    def boundary_point_count(self) -> int:
-        return sum(len(c.labels) for c in self.collars)
 
     @property
     def from_cracked(self) -> bool:

@@ -12,7 +12,6 @@ faces, which has no integral-kernel representation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,7 +42,6 @@ class VertexStratum:
     vertex_id: str
     labels: tuple[URay, ...]
     family: str                      # "noncrack" | "noncrack_part" | "crack_cover"
-    isotropy_amenable: bool = True   # dilation group R+, abelian
 
     @property
     def size(self) -> int:
@@ -109,13 +107,11 @@ class OperatorDescriptor:
     kernel k(r, s) homogeneous of degree -1, the frozen kernel on the pair of
     edge-ends near the vertex.  Missing pairs are zero.  ``jump`` maps a
     vertex id to a constant size x size matrix of delta-type couplings (twin
-    crack faces).  ``smooth_kernel`` is the global kernel on the smooth part,
-    irrelevant to limit operators and kept only for bookkeeping.
+    crack faces).
     """
     c: float
     local_kernels: dict = field(default_factory=dict)
     jump: dict = field(default_factory=dict)
-    smooth_kernel: object = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,9 +127,6 @@ class MellinOperator:
     entries: tuple                   # size x size nested tuple, callables or None
     delta: np.ndarray                # size x size constant matrix
     removable_flat: bool = False
-
-    def entry(self, i: int, j: int):
-        return self.entries[i][j]
 
     @property
     def is_zero(self) -> bool:

@@ -11,7 +11,7 @@ operator under mesh refinement.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -28,17 +28,12 @@ from .geometry import (
     unfold,
 )
 from .groupoid import (
-    GroupoidDescriptor,
     OperatorDescriptor,
-    VertexStratum,
     build_groupoid,
     limit_operator,
 )
 from . import mellin
 from .mellin import (
-    MellinError,
-    ScanResult,
-    WeightLine,
     WindowReport,
     admissible_weight_window,
     invertibility_scan,
@@ -349,9 +344,7 @@ def np_operator_descriptor(u: UnfoldedDomain, c: float) -> OperatorDescriptor:
                     J[i, j] = -1.0
         if np.any(J):
             jumps[uid] = J
-    return OperatorDescriptor(
-        c=c, local_kernels=kernels, jump=jumps,
-        smooth_kernel=np_kernel_point)
+    return OperatorDescriptor(c=c, local_kernels=kernels, jump=jumps)
 
 
 # -- Fredholm verdicts -----------------------------------------------------
@@ -365,7 +358,6 @@ class FredholmVerdict:
     overall: str                     # "Fredholm" | "not Fredholm" | "inconclusive"
     witnesses: tuple
     reference_window: tuple[float, float]
-    line: WeightLine
 
     @property
     def is_fredholm(self) -> bool:
@@ -383,7 +375,6 @@ def _reference_window(d: ConicalDomain) -> tuple[float, float]:
 
 
 def fredholm_verdict(d: ConicalDomain, c: float, a: float,
-                     line: WeightLine = WeightLine(0.0),
                      tol: float = mellin.SCAN_TOL,
                      xi_max: float = mellin.XI_MAX_DEFAULT,
                      inconclusive_margin: float = INCONCLUSIVE_MARGIN
@@ -398,13 +389,12 @@ def fredholm_verdict(d: ConicalDomain, c: float, a: float,
     M = desingularize_boundary(u)
     G = build_groupoid(M)
     P = np_operator_descriptor(u, c)
-    wline = line.with_weight(a)
     elliptic = c != 0.0
     per_vertex = {}
     witnesses = []
     inconclusive = False
     for stratum in G.boundary_strata:
-        res = invertibility_scan(limit_operator(P, stratum), c, wline,
+        res = invertibility_scan(limit_operator(P, stratum), c, a,
                                  xi_max=xi_max, tol=tol)
         per_vertex[stratum.vertex_id] = res
         if not res.invertible:
@@ -418,11 +408,10 @@ def fredholm_verdict(d: ConicalDomain, c: float, a: float,
     else:
         overall = "Fredholm"
     return FredholmVerdict(c, a, elliptic, per_vertex, overall,
-                           tuple(witnesses), _reference_window(d), wline)
+                           tuple(witnesses), _reference_window(d))
 
 
 def domain_windows(d: ConicalDomain, c: float,
-                   line: WeightLine = WeightLine(0.0),
                    search: tuple[float, float] = (-1.2, 1.2),
                    tol: float = mellin.SCAN_TOL,
                    xi_max: float = mellin.XI_MAX_DEFAULT) -> WindowReport:
@@ -440,7 +429,7 @@ def domain_windows(d: ConicalDomain, c: float,
     per_vertex = {}
     for stratum in G.boundary_strata:
         rep = admissible_weight_window(limit_operator(P, stratum), c, search,
-                                       line, tol=tol,
+                                       tol=tol,
                                        vertex_id=stratum.vertex_id,
                                        xi_max=xi_max)
         per_vertex[stratum.vertex_id] = rep.global_window
@@ -469,7 +458,6 @@ class SolveResult:
 
 def solve_dirichlet(d: ConicalDomain, g, c: float = 1.0, a: float = 0.0,
                     mesh: BoundaryMesh | None = None,
-                    line: WeightLine = WeightLine(0.0),
                     check_verdict: bool = True) -> SolveResult:
     """Interior Dirichlet solve via the density equation (I + A) phi = 2 g.
 
@@ -482,7 +470,7 @@ def solve_dirichlet(d: ConicalDomain, g, c: float = 1.0, a: float = 0.0,
     if c != 1.0:
         raise ValueError("the Dirichlet identity requires c = +1")
     if check_verdict:
-        v = fredholm_verdict(d, c, a, line=line)
+        v = fredholm_verdict(d, c, a)
         if not v.is_fredholm:
             raise ValueError(f"operator not Fredholm at (c={c}, a={a}): "
                              f"{v.overall}, witnesses {v.witnesses}")
@@ -587,13 +575,15 @@ def _smallest_singular_values(B: np.ndarray, k: int) -> np.ndarray:
 
 def min_singular_value_study(d, c: float, a: float,
                              mesh_sizes=(8, 16, 32, 64), q: float = 0.5,
-                             deflate: int = 0, jobs: int = 1) -> StudyResult:
+                             deflate: int = 0) -> StudyResult:
     """Track a small singular value of the weighted operator under refinement.
 
-    ``deflate`` skips that many smallest singular values; use it to discount
-    a known finite-dimensional kernel (a Fredholm operator may well have
-    one, e.g. constants for c = -1) so the trend measures bounded-below-ness
-    of the rest.  Classification is by the log-log slope over the finest
+    ``mesh_sizes`` must hold at least two sizes in strictly increasing
+    order, since the trend is a slope across them.  ``deflate`` skips that
+    many smallest singular values; use it to discount a known
+    finite-dimensional kernel (a Fredholm operator may well have one, e.g.
+    constants for c = -1) so the trend measures bounded-below-ness of the
+    rest.  Classification is by the log-log slope over the finest
     meshes: decaying below -0.4, bounded above -0.15; a sigma already at
     rounding level is decaying outright.  The probe is reliable for weights
     a <= 0 inside the admissible window and beyond both endpoints; for
@@ -611,6 +601,10 @@ def min_singular_value_study(d, c: float, a: float,
     """
     if deflate < 0:
         raise ValueError("deflate must be >= 0")
+    if len(mesh_sizes) < 2 or any(
+            m >= n for m, n in zip(mesh_sizes, mesh_sizes[1:])):
+        raise ValueError("the study needs at least two mesh sizes in strictly "
+                         f"increasing order, got {tuple(mesh_sizes)}")
 
     def one(n):
         # grading depth grows with n but is capped so that the smallest
@@ -623,12 +617,8 @@ def min_singular_value_study(d, c: float, a: float,
         sigma = _smallest_singular_values(B, 1 + deflate)[-1]
         return (n, mesh.size, float(sigma))
 
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(one, mesh_sizes))
-    else:
-        rows = [one(n) for n in mesh_sizes]
+    # one call per mesh, so each matrix is freed before the next is built
+    rows = [one(n) for n in mesh_sizes]
     logN = np.log([r[1] for r in rows[-3:]])
     logS = np.log(np.maximum([r[2] for r in rows[-3:]], 1e-300))
     slope = float(np.polyfit(logN, logS, 1)[0])
@@ -640,70 +630,3 @@ def min_singular_value_study(d, c: float, a: float,
         trend = "inconclusive"
     return StudyResult(tuple(rows), trend, slope, deflate)
 
-
-# -- weight line calibration ----------------------------------------------
-
-def _unit_square() -> ConicalDomain:
-    doc = {
-        "vertices": [{"id": "a", "x": 0.0, "y": 0.0},
-                     {"id": "b", "x": 1.0, "y": 0.0},
-                     {"id": "c", "x": 1.0, "y": 1.0},
-                     {"id": "d", "x": 0.0, "y": 1.0}],
-        "edges": [{"id": "s", "from": "a", "to": "b"},
-                  {"id": "e", "from": "b", "to": "c"},
-                  {"id": "n", "from": "c", "to": "d"},
-                  {"id": "w", "from": "d", "to": "a"}],
-    }
-    return geometry.parse_domain(doc)
-
-
-def calibrate_weight_line(d: ConicalDomain | None = None, c: float = 1.0,
-                          a_grid=None, mesh_sizes=(8, 16, 32),
-                          out: str | None = None) -> dict:
-    """Fix the affine map from Sobolev weight a to the Mellin line offset.
-
-    Candidate conventions gamma(a) = -a and gamma(a) = +a are compared
-    against the weighted discrete operator on a model corner domain: for
-    each a on a grid, the refinement trend of the smallest singular value is
-    matched against symbol invertibility on the candidate line.  The symbol
-    windows here are symmetric in gamma, so both candidates typically tie;
-    the tie is reported as ambiguous and broken toward slope -1.
-    """
-    d = d or _unit_square()
-    if a_grid is None:
-        a_grid = np.linspace(-0.9, 0.9, 13)
-    trends = []
-    for a in a_grid:
-        res = min_singular_value_study(d, c, a, mesh_sizes=mesh_sizes,
-                                       deflate=1 if c == -1.0 else 0)
-        trends.append(res.trend == "bounded-below")
-    scores = {}
-    for slope in (-1.0, 1.0):
-        line = WeightLine(0.0, slope=slope, intercept=0.0)
-        mismatches = 0
-        for a, emp in zip(a_grid, trends):
-            try:
-                v = fredholm_verdict(d, c, float(a), line=line)
-            except MellinError:
-                mismatches += 1
-                continue
-            if v.overall == "inconclusive":
-                continue
-            if v.is_fredholm != emp:
-                mismatches += 1
-        scores[slope] = mismatches
-    best = min(scores, key=lambda s: (scores[s], s))   # tie -> slope -1
-    ambiguous = scores[-1.0] == scores[1.0]
-    result = {
-        "slope": float(best if not ambiguous else -1.0),
-        "intercept": 0.0,
-        "ambiguous": ambiguous,
-        "candidate_scores": {str(k): int(v) for k, v in scores.items()},
-        "a_grid": [float(a) for a in a_grid],
-        "empirical_bounded": [bool(t) for t in trends],
-    }
-    if out is not None:
-        mellin.save_line_calibration(out, result["slope"], 0.0, {
-            "ambiguous": ambiguous,
-            "candidate_scores": result["candidate_scores"]})
-    return result

@@ -2,11 +2,10 @@
 
 The transform convention is K(lam) = int_0^inf kappa(t) t^(-i*lam) dt/t,
 holomorphic on a horizontal strip of Im(lam) determined by the kernel decay.
-A Sobolev weight a selects the line Im(lam) = gamma(a) with gamma affine in
-a; the affine map is fixed by a numerical calibration (see the companion
-assembly module) and defaults to gamma(a) = -a.  Fredholmness of c*I + K at
-a vertex reduces to invertibility of c*I + delta + K(xi + i*gamma) for all
-real xi, which is decided by a scan with an explicit tail majorant.
+A Sobolev weight a selects the line Im(lam) = -a (``line_offset``), fixed by
+the weighted scale itself.  Fredholmness of c*I + K at a vertex reduces to
+invertibility of c*I + delta + K(xi - i*a) for all real xi, which is decided
+by a scan with an explicit tail majorant.
 
 Every kernel of a vertex stratum is a ray-pair kernel whose transform has a
 closed form; kernels carry it as ``symbol`` and the scans and determinant
@@ -16,9 +15,8 @@ reference the closed forms are tested against.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate, optimize
@@ -249,58 +247,14 @@ def _damped(g, gamma: float, u):
     return np.sign(g) * mag
 
 
-class MellinSymbol:
-    """Quadrature matrix symbol evaluator with its validity strip."""
-
-    def __init__(self, op: MellinOperator):
-        self.op = op
-        self.size = op.size
-        self.strip = validity_strip(op)
-
-    def __call__(self, lam: complex) -> np.ndarray:
-        lam = complex(lam)
-        lo, hi = self.strip
-        if not lo < lam.imag < hi:
-            raise MellinError(
-                f"Im(lam) = {lam.imag} outside validity strip ({lo}, {hi})")
-        return mellin_transform(self.op, lam)
-
-
 # -- weight lines ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class WeightLine:
-    """Mellin line Im(lam) = gamma(a) attached to the Sobolev weight a.
-
-    gamma(a) = slope * a + intercept.  The affine coefficients are fixed by
-    calibration against the weighted discrete operator and are immutable
-    afterwards; the default is the analytically derived slope -1, offset 0.
-    """
-    a: float
-    slope: float = -1.0
-    intercept: float = 0.0
-
-    @property
-    def gamma(self) -> float:
-        return self.slope * self.a + self.intercept
-
-    def with_weight(self, a: float) -> "WeightLine":
-        return WeightLine(a, self.slope, self.intercept)
-
-
-def load_line_calibration(path) -> dict:
-    with open(path) as fh:
-        doc = json.load(fh)
-    return {"slope": float(doc["slope"]), "intercept": float(doc["intercept"])}
-
-
-def save_line_calibration(path, slope: float, intercept: float,
-                          extra: dict | None = None) -> None:
-    doc = {"slope": slope, "intercept": intercept}
-    doc.update(extra or {})
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+def line_offset(a: float) -> float:
+    """gamma(a) = -a: the Mellin line Im(lam) = gamma(a) of the Sobolev
+    weight a.  The map is its own inverse, so it also takes a line offset
+    back to its weight.  Written 0.0 - a so that a = 0 gives the line 0.0,
+    not -0.0."""
+    return 0.0 - a
 
 
 # -- fast vectorized line sampling ----------------------------------------
@@ -395,15 +349,15 @@ def _sigma_min(mats: np.ndarray) -> np.ndarray:
     return np.linalg.svd(mats, compute_uv=False)[..., -1]
 
 
-def symbol_on_line(op: MellinOperator, c: float, line: WeightLine,
+def symbol_on_line(op: MellinOperator, c: float, a: float,
                    xi_grid=None) -> LineSamples:
-    """Sampled matrices c*I + K(xi + i*gamma(a)) with refinement near the
-    minima of the smallest singular value.
+    """Sampled matrices c*I + K(xi + i*gamma(a)) on the line of the weight a,
+    with refinement near the minima of the smallest singular value.
 
     Kernels here are real, so the symbol at -xi is the conjugate of the
     symbol at +xi and the scan covers xi >= 0 without loss.
     """
-    gamma = line.gamma
+    gamma = line_offset(a)
     lo, hi = validity_strip(op)
     if not lo < gamma < hi:
         raise MellinError(f"gamma = {gamma} outside validity strip ({lo}, {hi})")
@@ -437,18 +391,17 @@ class ScanResult:
     xi_max_used: float
 
 
-def invertibility_scan(op: MellinOperator, c: float, line: WeightLine,
+def invertibility_scan(op: MellinOperator, c: float, a: float,
                        xi_max: float = XI_MAX_DEFAULT,
                        tol: float = SCAN_TOL) -> ScanResult:
-    """Decide invertibility of c*I + symbol along the weight line.
+    """Decide invertibility of c*I + symbol along the line of the weight a.
 
     The verdict combines the sampled minimum over [-xi_max, xi_max] with an
     explicit tail bound: beyond xi_max the kernel part is majorized by
     2*C/(1+|xi|), so invertibility there follows from the constant part
     alone.  A failing tail bound doubles xi_max up to a cap.
     """
-    gamma = line.gamma
-    samples = symbol_on_line(op, c, line, _base_grid(xi_max))
+    samples = symbol_on_line(op, c, a, _base_grid(xi_max))
     i = int(np.argmin(samples.sigma_min))
     margin = float(samples.sigma_min[i])
     witness = float(samples.xi[i])
@@ -461,14 +414,14 @@ def invertibility_scan(op: MellinOperator, c: float, line: WeightLine,
     if sig_inf <= tol:
         return ScanResult(False, min(margin, sig_inf), math.inf, xi_max)
 
-    C = tail_majorant(op, gamma)
+    C = tail_majorant(op, line_offset(a))
     cur = xi_max
     while 2.0 * C / (1.0 + cur) >= sig_inf - tol:
         if cur >= XI_MAX_CAP:
             raise MellinError(
                 f"tail bound fails at xi_max = {cur} (cap {XI_MAX_CAP})")
         nxt = min(2.0 * cur, XI_MAX_CAP)
-        extra = symbol_on_line(op, c, line, np.linspace(cur, nxt, 160))
+        extra = symbol_on_line(op, c, a, np.linspace(cur, nxt, 160))
         j = int(np.argmin(extra.sigma_min))
         if extra.sigma_min[j] < margin:
             margin = float(extra.sigma_min[j])
@@ -487,7 +440,6 @@ class WindowReport:
     c: float
     per_vertex: dict                 # vertex id -> (lo, hi), None when empty
     global_window: tuple[float, float] | None
-    margins: tuple = ()              # (a values, margin values)
     reference_window: tuple[float, float] | None = None
 
     def contains(self, lo: float, hi: float) -> bool:
@@ -543,7 +495,6 @@ def _axis_roots(op: MellinOperator, c: float, grid: np.ndarray,
 
 def admissible_weight_window(op: MellinOperator, c: float,
                              search: tuple[float, float] = (-1.5, 1.5),
-                             line: WeightLine = WeightLine(0.0),
                              tol: float = SCAN_TOL,
                              vertex_id: str | None = None,
                              xi_max: float = XI_MAX_DEFAULT) -> WindowReport:
@@ -562,24 +513,21 @@ def admissible_weight_window(op: MellinOperator, c: float,
     vid = vertex_id or op.vertex_id
     lo_s, hi_s = validity_strip(op)
     pad = max(2e-2, 0.0 if hi_s - lo_s > 1.0 else 0.1 * (hi_s - lo_s))
-    gs = sorted(min(max(line.with_weight(a).gamma, lo_s + pad), hi_s - pad)
+    gs = sorted(min(max(line_offset(a), lo_s + pad), hi_s - pad)
                 for a in search)
     g_lo, g_hi = gs
     if g_hi - g_lo <= 0:
         raise MellinError("empty weight search interval after strip clipping")
 
-    def weight(gam):
-        return (gam - line.intercept) / line.slope
-
-    g_ref = line.intercept
+    g_ref = line_offset(0.0)
     if not g_lo <= g_ref <= g_hi:
         g_ref = 0.5 * (g_lo + g_hi)
-    if not invertibility_scan(op, c, line.with_weight(weight(g_ref)),
-                              xi_max=xi_max, tol=tol).invertible:
+    if not invertibility_scan(op, c, line_offset(g_ref), xi_max=xi_max,
+                              tol=tol).invertible:
         return WindowReport(c, {vid: None}, None)
 
     roots = _axis_roots(op, c, np.linspace(g_lo, g_hi, 241), tol,
-                        ENDPOINT_TOL * abs(line.slope))
+                        ENDPOINT_TOL)
     below = [r for r in roots if r < g_ref]
     above = [r for r in roots if r > g_ref]
     w_lo = max(below) if below else g_lo
@@ -587,22 +535,13 @@ def admissible_weight_window(op: MellinOperator, c: float,
 
     # scan verification on interior samples; shrink if a zero off the
     # imaginary axis shows up (not observed for the kernels here)
-    margins_a, margins = [], []
-    interior = np.linspace(w_lo, w_hi, 9)[1:-1]
-    for gam in interior:
-        a = weight(gam)
-        res = invertibility_scan(op, c, line.with_weight(a), xi_max=xi_max,
-                                 tol=tol)
-        margins_a.append(a)
-        margins.append(res.margin)
-        if not res.invertible:
+    for gam in np.linspace(w_lo, w_hi, 9)[1:-1]:
+        if not invertibility_scan(op, c, line_offset(gam), xi_max=xi_max,
+                                  tol=tol).invertible:
             if gam < g_ref:
                 w_lo = max(w_lo, gam)
             else:
                 w_hi = min(w_hi, gam)
 
-    a_ends = sorted((weight(w_lo), weight(w_hi)))
-    window = (float(a_ends[0]), float(a_ends[1]))
-    order = np.argsort(margins_a)
-    return WindowReport(c, {vid: window}, window,
-                        (np.array(margins_a)[order], np.array(margins)[order]))
+    window = (float(line_offset(w_hi)), float(line_offset(w_lo)))
+    return WindowReport(c, {vid: window}, window)

@@ -3,6 +3,7 @@
 import inspect
 import json
 import math
+import re
 
 import pytest
 from click.testing import CliRunner
@@ -224,6 +225,18 @@ def test_study_csv_output(runner, tmp_path):
     assert len(lines) == 4
 
 
+@pytest.mark.parametrize("meshes", (("64",), ("8", "8"), ("16", "8")))
+def test_study_rejects_bad_mesh_sizes(runner, meshes):
+    # a trend needs at least two strictly increasing mesh sizes
+    argv = ["study", domain_path("square"), "--c", "1", "--a", "-0.8"]
+    for n in meshes:
+        argv += ["--mesh-n", n]
+    res = runner.invoke(main, argv)
+    assert res.exit_code == 3
+    assert "strictly increasing" in res.stderr
+    assert res.stdout == ""
+
+
 # -- every fixture through analyze and study -------------------------------
 
 def _not_fredholm_at_zero(name, c):
@@ -266,20 +279,47 @@ def test_study_matrix(runner, name, c):
     assert all(r[2] >= 0.0 for r in rows)
 
 
-# -- calibrate -------------------------------------------------------------
+# -- weights at the edge of the validity strip ----------------------------
 
-def test_calibrate_writes_file(runner, tmp_path):
-    out = tmp_path / "cal.json"
-    res = runner.invoke(main, ["calibrate", "--out", str(out)])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("c", (1.0, 0.75))
+@pytest.mark.parametrize("a", (-0.99, 0.99, -1.0, 1.0))
+@pytest.mark.parametrize("name", ALL_DOMAINS)
+def test_analyze_strip_edge(runner, name, a, c):
+    # the vertex symbols converge on |Im lam| < 1, so |a| < 1 is answered
+    # and |a| = 1 is an error wherever there is a vertex
+    res = runner.invoke(main, ["analyze", domain_path(name), "--c", repr(c),
+                               "--a", repr(a)])
+    if abs(a) < 1.0 or name == "circle":
+        assert res.exit_code in (0, 1, 2)
+        rep = json.loads(res.stdout, parse_constant=_no_constants)
+        assert rep["line_offset"] == -a
+    else:
+        assert res.exit_code == 3
+        assert "outside validity strip" in res.stderr
+
+
+# -- command surface -------------------------------------------------------
+
+SURFACE = {
+    "analyze": {"--a", "--c", "--tol", "--xi-max", "--out"},
+    "window": {"--a-min", "--a-max", "--c", "--tol", "--xi-max", "--out",
+               "--format"},
+    "solve": {"--g", "--a", "--mesh-n", "--mesh-q", "--mesh-nc", "--c",
+              "--out"},
+    "study": {"--a", "--mesh-n", "--mesh-q", "--deflate", "--c", "--out",
+              "--format"},
+}
+
+
+def test_cli_surface(runner):
+    # each subcommand offers exactly the options it reads
+    res = runner.invoke(main, ["--help"])
     assert res.exit_code == 0
-    doc = json.loads(out.read_text())
-    assert doc["slope"] == -1.0
-    assert doc["intercept"] == 0.0
-
-
-def test_analyze_with_calibration_file(runner, tmp_path):
-    out = tmp_path / "cal.json"
-    out.write_text(json.dumps({"slope": -1.0, "intercept": 0.0}))
-    res = runner.invoke(main, ["analyze", domain_path("square"),
-                               "--calibration", str(out)])
-    assert res.exit_code == 0
+    listed = re.search(r"Commands:\n(.*)", res.stdout, re.S).group(1)
+    assert set(re.findall(r"^\s+(\w+)", listed, re.M)) == set(SURFACE)
+    for cmd, options in SURFACE.items():
+        res = runner.invoke(main, [cmd, "--help"])
+        assert res.exit_code == 0
+        found = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", res.stdout))
+        assert found - {"--help"} == options, cmd

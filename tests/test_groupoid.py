@@ -59,7 +59,6 @@ def test_stratum_families(slit_square):
     assert families["a"] == "noncrack"
     assert families["p#c0"] == families["t#c0"] == "crack_cover"
     assert G.kind == "crack"
-    assert all(s.isotropy_amenable for s in G.boundary_strata)
 
 
 def test_kind_mismatch_raises(square, slit_square):

@@ -27,7 +27,6 @@ from polyfred.layerpot import (
     weighted_discrete_operator,
     weighted_norm,
 )
-from polyfred.mellin import WeightLine
 
 from conftest import ALL_DOMAINS, domain_path
 
@@ -328,14 +327,6 @@ def test_study_circle_constants_kernel(circle):
     assert deflated.trend == "bounded-below"
 
 
-def test_study_jobs_agree(square):
-    serial = min_singular_value_study(square, 1.0, 0.0,
-                                      mesh_sizes=(8, 16, 32))
-    threaded = min_singular_value_study(square, 1.0, 0.0,
-                                        mesh_sizes=(8, 16, 32), jobs=3)
-    assert serial.rows == threaded.rows
-
-
 # -- smallest singular values ----------------------------------------------
 
 def _dense_smallest(B, k):
@@ -438,9 +429,9 @@ def test_smallest_singular_values_repeated_minimum(square):
 
 
 def test_study_rejects_bad_deflate(circle):
-    with pytest.raises(ValueError):
-        min_singular_value_study(circle, -1.0, 0.0, mesh_sizes=(8,),
+    with pytest.raises(ValueError, match="deflate must be"):
+        min_singular_value_study(circle, -1.0, 0.0, mesh_sizes=(8, 16),
                                  deflate=-1)
-    with pytest.raises(ValueError):
-        min_singular_value_study(circle, -1.0, 0.0, mesh_sizes=(8,),
+    with pytest.raises(ValueError, match="leaves no singular value"):
+        min_singular_value_study(circle, -1.0, 0.0, mesh_sizes=(8, 16),
                                  deflate=8)

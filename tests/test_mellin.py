@@ -7,29 +7,29 @@ package are tested against two frozen references.
 """
 
 import cmath
+import json
 import math
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from click.testing import CliRunner
 from hypothesis import strategies as st
 
 from polyfred.geometry import desingularize_boundary, parse_domain, unfold
+from polyfred.cli import main
 from polyfred.groupoid import MellinOperator, build_groupoid, limit_operator
 from polyfred.layerpot import np_operator_descriptor
 from polyfred.mellin import (
     MellinError,
-    MellinSymbol,
-    WeightLine,
     _line_samples,
     admissible_weight_window,
     invertibility_scan,
     line_determinant,
-    load_line_calibration,
+    line_offset,
     mellin_transform,
     ray_pair_symbol,
-    save_line_calibration,
     symbol_on_line,
     tail_majorant,
     validity_strip,
@@ -177,15 +177,24 @@ def test_window_empty_when_reference_is_singular():
 
 
 def test_window_ends_at_touching_zero():
-    # with the reference line moved to gamma = 0.3, the zero that touches 0
-    # at gamma = 0 (a = 0.3) bounds the window without a sign change; no
-    # interior scan sample lands on it for this search range
-    line = WeightLine(0.0, slope=-1.0, intercept=0.3)
-    rep = admissible_weight_window(wedge_np_kernel(math.pi / 2), 0.5,
-                                   search=(-0.5, 1.5), line=line)
-    lo, hi = rep.global_window
-    assert abs(hi - 0.3) <= 1e-6
-    assert abs(lo + 0.5) <= 1e-12
+    # two uncoupled copies of the right-angle wedge: the determinant is the
+    # square of the single wedge's, so its zeros touch 0 without a sign
+    # change, and the window must still end where the single wedge's does
+    wedge = wedge_np_kernel(math.pi / 2)
+    kappa = wedge.entries[0][1]
+    entries = ((None, kappa, None, None), (kappa, None, None, None),
+               (None, None, None, kappa), (None, None, kappa, None))
+    double = MellinOperator("double", 4, entries, np.zeros((4, 4)))
+    c = 0.75
+    grid = np.linspace(-0.98, 0.98, 241)
+    dets = line_determinant(double, c, grid)
+    assert np.all(dets >= 0.0)
+    assert np.allclose(dets, line_determinant(wedge, c, grid) ** 2,
+                       rtol=1e-12, atol=1e-15)
+    lo, hi = admissible_weight_window(double, c).global_window
+    want = admissible_weight_window(wedge, c).global_window
+    assert abs(lo - want[0]) <= 1e-9 and abs(hi - want[1]) <= 1e-9
+    assert 0.5 < hi < 0.6 and abs(lo + hi) <= 1e-9
 
 
 def test_flat_wedge_is_removable_zero():
@@ -206,11 +215,8 @@ def test_validity_strip(theta):
 
 
 def test_symbol_guard_outside_strip():
-    sym = MellinSymbol(wedge_np_kernel(math.pi / 2))
     with pytest.raises(MellinError):
-        sym(0.0 + 1.2j)
-    with pytest.raises(MellinError):
-        symbol_on_line(wedge_np_kernel(math.pi / 2), 1.0, WeightLine(1.5))
+        symbol_on_line(wedge_np_kernel(math.pi / 2), 1.0, 1.5)
 
 
 def test_line_samples_match_adaptive_quadrature():
@@ -249,14 +255,14 @@ def test_line_determinant_real_and_even():
 def test_scan_wedge_inside_window():
     op = wedge_np_kernel(math.pi / 2)
     for c in (1.0, -1.0):
-        res = invertibility_scan(op, c, WeightLine(0.0))
+        res = invertibility_scan(op, c, 0.0)
         assert res.invertible
         assert res.margin > 0.3
 
 
 def test_scan_wedge_at_symbol_zero():
     op = wedge_np_kernel(math.pi / 2)
-    res = invertibility_scan(op, 1.0, WeightLine(2.0 / 3.0))
+    res = invertibility_scan(op, 1.0, 2.0 / 3.0)
     assert not res.invertible
     assert res.margin <= 1e-8
     assert abs(res.witness_xi) <= 0.1
@@ -266,7 +272,7 @@ def test_scan_beyond_window_is_invertible_again():
     # past the window endpoint the symbol is invertible once more (the
     # operator is Fredholm with a nonzero index there)
     op = wedge_np_kernel(math.pi / 2)
-    res = invertibility_scan(op, 1.0, WeightLine(0.8))
+    res = invertibility_scan(op, 1.0, 0.8)
     assert res.invertible
 
 
@@ -274,9 +280,9 @@ def test_scan_pure_jump_tip():
     tip = MellinOperator("tip", 2, ((None, None), (None, None)),
                          np.array([[0.0, -1.0], [-1.0, 0.0]]))
     for c in (1.0, -1.0):
-        res = invertibility_scan(tip, c, WeightLine(0.0))
+        res = invertibility_scan(tip, c, 0.0)
         assert not res.invertible
-    res = invertibility_scan(tip, 3.0, WeightLine(0.0))
+    res = invertibility_scan(tip, 3.0, 0.0)
     assert res.invertible
 
 
@@ -319,13 +325,10 @@ def test_window_contains_helper():
 # -- weight lines ----------------------------------------------------------
 
 def test_weight_line_defaults():
-    line = WeightLine(0.25)
-    assert line.gamma == -0.25
-    assert line.with_weight(-0.5).gamma == 0.5
-
-
-def test_calibration_roundtrip(tmp_path):
-    path = tmp_path / "cal.json"
-    save_line_calibration(path, -1.0, 0.0, {"note": "test"})
-    cal = load_line_calibration(path)
-    assert cal == {"slope": -1.0, "intercept": 0.0}
+    # the weight a selects the line Im(lam) = -a, as analyze reports it
+    res = CliRunner().invoke(main, ["analyze", domain_path("square"),
+                                    "--a", "0.25"])
+    assert res.exit_code == 0
+    assert json.loads(res.stdout)["line_offset"] == -0.25
+    assert line_offset(-0.5) == 0.5
+    assert math.copysign(1.0, line_offset(0.0)) == 1.0
