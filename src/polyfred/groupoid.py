@@ -12,6 +12,7 @@ faces, which has no integral-kernel representation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -114,24 +115,51 @@ class OperatorDescriptor:
     jump: dict = field(default_factory=dict)
 
 
+@dataclass(frozen=True)
+class RayPairKernel:
+    """Frozen double layer kernel between two rays from a common vertex,
+    homogeneous of degree -1:
+
+        k(r, s) = side * (sin d / pi) * r / (r^2 + s^2 - 2 r s cos d),
+
+    with d the angle from the source ray to the target ray, in [0, 2*pi),
+    and side in {-1, +1} the orientation of the source ray's outer normal.
+    """
+    d: float
+    side: int
+
+    def __call__(self, r, s):
+        r = np.asarray(r, dtype=float)
+        s = np.asarray(s, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = self.side * math.sin(self.d) / math.pi * r \
+                / (r * r + s * s - 2.0 * r * s * math.cos(self.d))
+        return np.nan_to_num(out, nan=0.0, posinf=0.0, neginf=0.0)
+
+
 @dataclass(frozen=True, eq=False)
 class MellinOperator:
-    """Matrix of one-variable kernels t -> kappa(t) plus a constant jump part.
+    """Matrix of ray-pair kernels plus a constant jump part.
 
+    Entry (i, j) is the one-variable kernel t -> RayPairKernel(d, side)(t, 1)
+    with side = 0 meaning no kernel (collinear rays or an absent pair).
     Acts on C^size-valued functions on R+ by
     (Pf)(r) = delta @ f(r) + integral kappa(r/s) f(s) ds/s.
     Compared by identity.
     """
     vertex_id: str
-    size: int
-    entries: tuple                   # size x size nested tuple, callables or None
+    d: np.ndarray                    # size x size ray angles in [0, 2*pi)
+    side: np.ndarray                 # size x size integers in {-1, 0, +1}
     delta: np.ndarray                # size x size constant matrix
     removable_flat: bool = False
 
     @property
+    def size(self) -> int:
+        return len(self.delta)
+
+    @property
     def is_zero(self) -> bool:
-        return not np.any(self.delta) and all(
-            e is None for row in self.entries for e in row)
+        return not np.any(self.delta) and not np.any(self.side)
 
     def apply(self, fvals: np.ndarray, tgrid: np.ndarray) -> np.ndarray:
         """Discrete action on samples over a log-uniform grid (trapezoid)."""
@@ -140,18 +168,16 @@ class MellinOperator:
         du = u[1] - u[0]
         out = np.einsum("ij,jn->in", self.delta, fvals).astype(complex)
         ratio = tgrid[:, None] / tgrid[None, :]
-        for i in range(self.size):
-            for j in range(self.size):
-                ker = self.entries[i][j]
-                if ker is None:
-                    continue
-                out[i] += (ker(ratio) @ fvals[j]) * du
+        for i, j in zip(*np.nonzero(self.side)):
+            ker = RayPairKernel(self.d[i, j], self.side[i, j])
+            out[i] += (ker(ratio, 1.0) @ fvals[j]) * du
         return out
 
 
 def zero_mellin_operator(vertex_id: str, size: int) -> MellinOperator:
-    rows = tuple(tuple(None for _ in range(size)) for _ in range(size))
-    return MellinOperator(vertex_id, size, rows, np.zeros((size, size)))
+    return MellinOperator(vertex_id, np.zeros((size, size)),
+                          np.zeros((size, size), dtype=int),
+                          np.zeros((size, size)))
 
 
 def _check_homogeneity(ker, tag) -> None:
@@ -175,23 +201,24 @@ def limit_operator(P: OperatorDescriptor, stratum: VertexStratum
     """Freeze P at a vertex stratum as a matrix Mellin convolution operator.
 
     Each local two-variable kernel is gated through a numerical homogeneity
-    check, then reduced to the one-variable kernel t -> k(t, 1), which keeps
-    the kernel's closed-form symbol and decay hints.  The scalar
-    part c is not part of the result.  Kernels supported away from the vertex
-    contribute nothing, so absent entries mean zero.
+    check and must then be a ray-pair kernel, whose angle and side become
+    the entry of the result.  The scalar part c is not part of the result.
+    Kernels supported away from the vertex contribute nothing, so absent
+    entries mean zero.
     """
     k = stratum.size
-    rows = []
+    d = np.zeros((k, k))
+    side = np.zeros((k, k), dtype=int)
     for i, la in enumerate(stratum.labels):
-        row = []
         for j, lb in enumerate(stratum.labels):
             ker = P.local_kernels.get((stratum.vertex_id, la, lb))
             if ker is None:
-                row.append(None)
                 continue
-            _check_homogeneity(ker, (stratum.vertex_id, i, j))
-            row.append(one_variable_kernel(ker))
-        rows.append(tuple(row))
+            tag = (stratum.vertex_id, i, j)
+            _check_homogeneity(ker, tag)
+            if not isinstance(ker, RayPairKernel):
+                raise StratumError(f"kernel {tag} is not a ray-pair kernel")
+            d[i, j], side[i, j] = ker.d, ker.side
     delta = P.jump.get(stratum.vertex_id)
     if delta is None:
         delta = np.zeros((k, k))
@@ -201,19 +228,7 @@ def limit_operator(P: OperatorDescriptor, stratum: VertexStratum
             raise StratumError(
                 f"jump matrix at {stratum.vertex_id} has shape {delta.shape}, "
                 f"expected {(k, k)}")
-    return MellinOperator(stratum.vertex_id, k, tuple(rows), delta)
-
-
-def one_variable_kernel(ker):
-    """t -> k(t, 1), keeping the kernel's ``symbol``, ``log_eval`` and
-    ``decay_exponents`` hints: they describe this one-variable kernel."""
-    def kappa(t):
-        t = np.asarray(t, dtype=float)
-        return ker(t, np.ones_like(t))
-    for hint in ("symbol", "log_eval", "decay_exponents"):
-        if hasattr(ker, hint):
-            setattr(kappa, hint, getattr(ker, hint))
-    return kappa
+    return MellinOperator(stratum.vertex_id, d, side, delta)
 
 
 def brute_force_counts(u: UnfoldedDomain) -> dict:

@@ -47,6 +47,9 @@ ROUNDING_SIGMA = 1e-12
 # a Lanczos singular value is kept when its residual puts it within this
 # relative distance (plus ROUNDING_SIGMA) of a singular value of B
 SIGMA_CERT_RTOL = 1e-8
+# smallest graded cell width h*q^n_c (as a fraction of the edge) a mesh may
+# have: the panel ends next to a vertex must stay distinct in double precision
+MIN_GRADED_WIDTH = 1e-13
 
 
 # -- pointwise kernel ------------------------------------------------------
@@ -144,17 +147,24 @@ class BoundaryMesh:
         return len(self.weights)
 
 
-def _graded_breaks(n: int, q: float, n_c: int) -> np.ndarray:
+def _graded_widths(n: int, q: float, n_c: int) -> np.ndarray:
     # n uniform middle cells of width h, n_c geometric cells per end with
     # widths h q, h q^2, ...: the spacing contracts smoothly toward the
     # vertices and the whole graded tail shrinks together with h
     tail = q * (1.0 - q ** n_c) / (1.0 - q)
     h = 1.0 / (n + 2.0 * tail)
     down = h * q ** np.arange(1, n_c + 1)
-    widths = np.concatenate([down[::-1], np.full(n, h), down])
-    breaks = np.concatenate([[0.0], np.cumsum(widths)])
-    breaks[-1] = 1.0
-    return breaks
+    return np.concatenate([down[::-1], np.full(n, h), down])
+
+
+def _graded_breaks(n: int, q: float, n_c: int) -> np.ndarray:
+    # the left half is summed from 0 and mirrored, so the breaks are
+    # symmetric; summing on to 1 rounds the last widths to zero or below
+    # once they come near one ulp of 1
+    widths = _graded_widths(n, q, n_c)
+    half = np.concatenate([[0.0], np.cumsum(widths[:len(widths) // 2])])
+    right = 1.0 - half[::-1]
+    return np.concatenate([half, right[1:] if n % 2 == 0 else right])
 
 
 def graded_mesh(M: DesingularizedBoundary, n: int = 16, q: float = 0.5,
@@ -179,10 +189,19 @@ def graded_mesh(M: DesingularizedBoundary, n: int = 16, q: float = 0.5,
         if e.length(d) <= 0:
             raise ValueError(f"degenerate edge {e.id}")
         closed_free = e.is_closed() and e.v_from is None
-        breaks = (np.linspace(0.0, 1.0, n + 1) if closed_free
-                  else _graded_breaks(n, q, n_c))
+        if closed_free:
+            breaks = np.linspace(0.0, 1.0, n + 1)
+            dtau = np.diff(breaks)
+        else:
+            # the weights come from the widths: near 1 the breaks resolve
+            # a width only to one ulp of 1
+            dtau = _graded_widths(n, q, n_c)
+            if dtau[0] < MIN_GRADED_WIDTH:
+                raise ValueError(
+                    f"smallest graded width h*q^n_c = {dtau[0]:.3g} is below "
+                    f"{MIN_GRADED_WIDTH:g}: raise q or lower n_c")
+            breaks = _graded_breaks(n, q, n_c)
         tau = 0.5 * (breaks[:-1] + breaks[1:])
-        dtau = np.diff(breaks)
         s = tau if ue.forward else 1.0 - tau
         sa = breaks[:-1] if ue.forward else 1.0 - breaks[:-1]
         sb = breaks[1:] if ue.forward else 1.0 - breaks[1:]
@@ -417,11 +436,11 @@ def domain_windows(d: ConicalDomain, c: float,
                    xi_max: float = mellin.XI_MAX_DEFAULT) -> WindowReport:
     """Admissible weight window per vertex stratum, intersected globally.
 
-    Every stratum goes through its limit operator, whose kernels carry
-    closed-form Mellin symbols (quadrature is the fallback for kernels
-    without one); nothing is cached between calls.  A vertex with no
-    admissible weight gets the window None and so does the global window.
-    A domain without vertices is Fredholm on the whole search range.
+    Every stratum goes through its limit operator, whose ray-pair kernels
+    have closed-form Mellin symbols; nothing is cached between calls.  A
+    vertex with no admissible weight gets the window None and so does the
+    global window.  A domain without vertices is Fredholm on the whole
+    search range.
     """
     u = unfold(d)
     G = build_groupoid(desingularize_boundary(u))

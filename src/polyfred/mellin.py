@@ -8,9 +8,9 @@ invertibility of c*I + delta + K(xi - i*a) for all real xi, which is decided
 by a scan with an explicit tail majorant.
 
 Every kernel of a vertex stratum is a ray-pair kernel whose transform has a
-closed form; kernels carry it as ``symbol`` and the scans and determinant
-roots use it.  Quadrature remains for kernels without one and as the
-reference the closed forms are tested against.
+closed form (``ray_pair_symbol``); the scans, their tail bound and the
+determinant roots use it.  Quadrature (``mellin_transform``) is the
+reference the closed form is tested against.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate, optimize
 
-from .groupoid import MellinOperator, one_variable_kernel, zero_mellin_operator
+from .groupoid import MellinOperator, RayPairKernel, zero_mellin_operator
 
 QUAD_ABS_TOL = 1e-10
 SCAN_TOL = 1e-8
@@ -38,50 +38,24 @@ class MellinError(ValueError):
 
 # -- wedge kernels ---------------------------------------------------------
 
-def ray_pair_kernel(phi_target: float, phi_source: float, side_source: int):
+def ray_pair_kernel(phi_target: float, phi_source: float,
+                    side_source: int) -> RayPairKernel:
     """Frozen double layer kernel between two rays from a common vertex.
 
     Target x = r*e(phi_target), source y = s*e(phi_source); the source ray
     carries the outer normal e(phi_source - side*pi/2) where side is +1 when
     the domain lies counterclockwise of the source ray and -1 otherwise.
-    Returns a two-variable kernel k(r, s), homogeneous of degree -1:
-
-        k(r, s) = side * (sin d / pi) * r / (r^2 + s^2 - 2 r s cos d),
-
-    d = phi_target - phi_source.  Identically zero for collinear rays.  The
-    kernel carries the Mellin transform of t -> k(t, 1) in closed form as
-    ``symbol`` (see ``ray_pair_symbol``), plus ``log_eval`` and
-    ``decay_exponents`` hints for the numerical transforms.
+    The rays must not be collinear.  The kernel's Mellin transform is
+    ``ray_pair_symbol`` of its angle and side.
     """
-    d = phi_target - phi_source
-    sd, cd = math.sin(d), math.cos(d)
-    amp = side_source * sd / math.pi
-
-    def kernel(r, s):
-        r = np.asarray(r, dtype=float)
-        s = np.asarray(s, dtype=float)
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = amp * r / (r * r + s * s - 2.0 * r * s * cd)
-        return np.nan_to_num(out, nan=0.0, posinf=0.0, neginf=0.0)
-
-    def log_eval(u):
-        # kernel(e^u, 1) evaluated stably for large |u|
-        u = np.asarray(u, dtype=float)
-        with np.errstate(over="ignore"):
-            den = 2.0 * np.cosh(u) - 2.0 * cd
-            out = np.where(np.isfinite(den), amp / den, 0.0)
-        return out
-
-    kernel.symbol = ray_pair_symbol(d % (2.0 * math.pi), side_source)
-    kernel.log_eval = log_eval
-    kernel.decay_exponents = (1.0, 1.0) if sd != 0.0 else None
-    return kernel
+    return RayPairKernel((phi_target - phi_source) % (2.0 * math.pi),
+                         side_source)
 
 
-def ray_pair_symbol(d: float, side: int):
-    """lam -> side * sinh((pi - d) lam) / sinh(pi lam) for arrays of lam
-    with |Im lam| < 1, the Mellin transform of the ray-pair kernel with
-    angle d in [0, 2*pi).
+def ray_pair_symbol(d, side, lam):
+    """side * sinh((pi - d) lam) / sinh(pi lam), the Mellin transform of the
+    ray-pair kernel with angle d in [0, 2*pi), for |Im lam| < 1.  d, side
+    and lam are broadcast against each other.
 
     The function is even in lam and changes sign under d -> 2*pi - d, so it
     is evaluated at Re(lam) >= 0 and d <= pi as
@@ -92,20 +66,19 @@ def ray_pair_symbol(d: float, side: int):
     is returned: it is exact to O(lam^2), and the quotient of two subnormal
     expm1 values would overflow.
     """
-    if d > math.pi:
-        d, side = 2.0 * math.pi - d, -side
+    d = np.asarray(d, dtype=float)
+    side = np.asarray(side)
+    flip = d > math.pi
+    d = np.where(flip, 2.0 * math.pi - d, d)
+    side = np.where(flip, -side, side)
     at_zero = side * (math.pi - d) / math.pi
-
-    def symbol(lam):
-        lam = np.asarray(lam, dtype=complex)
-        lam = np.where(lam.real < 0.0, -lam, lam)
-        zero = np.abs(lam) < 1e-9
-        lam = np.where(zero, 1.0, lam)
-        val = side * np.exp(-d * lam) * np.expm1(-2.0 * (math.pi - d) * lam) \
-            / np.expm1(-2.0 * math.pi * lam)
-        return np.where(zero, at_zero, val)
-
-    return symbol
+    lam = np.asarray(lam, dtype=complex)
+    lam = np.where(lam.real < 0.0, -lam, lam)
+    zero = np.abs(lam) < 1e-9
+    lam = np.where(zero, 1.0, lam)
+    val = side * np.exp(-d * lam) * np.expm1(-2.0 * (math.pi - d) * lam) \
+        / np.expm1(-2.0 * math.pi * lam)
+    return np.where(zero, at_zero, val)
 
 
 def wedge_np_kernel(theta: float) -> MellinOperator:
@@ -119,110 +92,64 @@ def wedge_np_kernel(theta: float) -> MellinOperator:
         raise MellinError(f"wedge opening {theta} outside (0, 2*pi)")
     if abs(theta - math.pi) < 1e-14:
         op = zero_mellin_operator("wedge", 2)
-        return MellinOperator(op.vertex_id, 2, op.entries, op.delta,
+        return MellinOperator(op.vertex_id, op.d, op.side, op.delta,
                               removable_flat=True)
-    kappa = one_variable_kernel(ray_pair_kernel(0.0, theta, -1))
-    entries = ((None, kappa), (kappa, None))
-    return MellinOperator("wedge", 2, entries, np.zeros((2, 2)))
+    ker = ray_pair_kernel(0.0, theta, -1)
+    d = np.array([[0.0, ker.d], [ker.d, 0.0]])
+    side = np.array([[0, ker.side], [ker.side, 0]])
+    return MellinOperator("wedge", d, side, np.zeros((2, 2)))
 
 
-# -- decay / validity strip ------------------------------------------------
-
-def _decay_exponents(kappa) -> tuple[float, float]:
-    """(p0, pinf) with kappa(t) ~ t^p0 at 0 and t^(-pinf) at infinity."""
-    hint = getattr(kappa, "decay_exponents", None)
-    if hint is not None:
-        return hint
-    t_small = np.array([1e-7, 1e-5])
-    t_large = np.array([1e5, 1e7])
-    v_small = np.abs(np.asarray(kappa(t_small), dtype=float))
-    v_large = np.abs(np.asarray(kappa(t_large), dtype=float))
-    if np.all(v_small > 0):
-        p0 = float(np.log(v_small[1] / v_small[0]) / np.log(t_small[1] / t_small[0]))
-    else:
-        p0 = STRIP_UNBOUNDED
-    if np.all(v_large > 0):
-        pinf = float(-np.log(v_large[1] / v_large[0])
-                     / np.log(t_large[1] / t_large[0]))
-    else:
-        pinf = STRIP_UNBOUNDED
-    return p0, pinf
-
+# -- validity strip and transform -----------------------------------------
 
 def validity_strip(op: MellinOperator) -> tuple[float, float]:
-    """Open interval of Im(lam) where every entry transform converges."""
-    lo, hi = -STRIP_UNBOUNDED, STRIP_UNBOUNDED
-    for row in op.entries:
-        for ker in row:
-            if ker is None:
-                continue
-            p0, pinf = _decay_exponents(ker)
-            lo = max(lo, -p0)
-            hi = min(hi, pinf)
-    if lo >= hi:
-        raise MellinError("kernel decay leaves no common validity strip")
-    return lo, hi
+    """Open interval of Im(lam) where every entry transform converges: a
+    ray-pair kernel decays like t at 0 and like 1/t at infinity."""
+    if np.any(op.side):
+        return -1.0, 1.0
+    return -STRIP_UNBOUNDED, STRIP_UNBOUNDED
 
-
-def _log_eval(kappa):
-    f = getattr(kappa, "log_eval", None)
-    if f is not None:
-        return f
-
-    def g(u):
-        u = np.asarray(u, dtype=float)
-        with np.errstate(over="ignore", invalid="ignore"):
-            vals = np.asarray(kappa(np.exp(np.clip(u, -700.0, 700.0))),
-                              dtype=float)
-        return np.nan_to_num(vals, nan=0.0, posinf=0.0, neginf=0.0)
-    return g
-
-
-def _truncation(kappa, gamma: float) -> tuple[float, float]:
-    p0, pinf = _decay_exponents(kappa)
-    d0 = p0 + gamma
-    d1 = pinf - gamma
-    if d0 <= 0 or d1 <= 0:
-        raise MellinError(
-            f"line Im(lam) = {gamma} outside validity strip ({-p0}, {pinf})")
-    cap = 5000.0
-    return min(cap, max(30.0, _LOG_TAIL / d0)), min(cap, max(30.0, _LOG_TAIL / d1))
-
-
-# -- transform -------------------------------------------------------------
 
 def mellin_transform(op: MellinOperator, lam: complex) -> np.ndarray:
     """Matrix symbol at lam, entrywise adaptive quadrature on log scale.
 
-    Always numerical, even for kernels that carry a closed-form symbol, so
-    it serves as the reference the closed forms are tested against.  The
-    constant jump part is lam-independent and added as-is.  Entries with
-    identical kernel objects are integrated once.
+    Always numerical, never the closed form, so it serves as the reference
+    the closed form is tested against.  The constant jump part is
+    lam-independent and added as-is.  Entries with equal angle and side are
+    integrated once.
     """
     lam = complex(lam)
     out = np.array(op.delta, dtype=complex)
-    done: dict[int, complex] = {}
-    for i in range(op.size):
-        for j in range(op.size):
-            ker = op.entries[i][j]
-            if ker is None:
-                continue
-            if id(ker) not in done:
-                done[id(ker)] = _entry_transform(ker, lam)
-            out[i, j] += done[id(ker)]
+    done: dict[tuple, complex] = {}
+    for i, j in zip(*np.nonzero(op.side)):
+        key = (float(op.d[i, j]), int(op.side[i, j]))
+        if key not in done:
+            done[key] = _entry_transform(*key, lam)
+        out[i, j] += done[key]
     return out
 
 
-def _entry_transform(kappa, lam: complex) -> complex:
-    # substitute t = e^u: int g(u) e^(gamma*u) e^(-i*xi*u) du, split at u = 0;
-    # the oscillation is left to the cos/sin-weighted rule (QUADPACK QAWO),
-    # which stays accurate for large |xi|
+def _entry_transform(d: float, side: int, lam: complex) -> complex:
+    # substitute t = e^u: int g(u) e^(gamma*u) e^(-i*xi*u) du, split at u = 0,
+    # where g(u) = k(e^u, 1) = amp / (2 cosh u - 2 cos d); the oscillation is
+    # left to the cos/sin-weighted rule (QUADPACK QAWO), which stays
+    # accurate for large |xi|
     gamma, xi = lam.imag, lam.real
-    u0, u1 = _truncation(kappa, gamma)
-    g = _log_eval(kappa)
+    if not -1.0 < gamma < 1.0:
+        raise MellinError(f"line Im(lam) = {gamma} outside validity strip (-1, 1)")
+    cap = 5000.0
+    u0 = min(cap, max(30.0, _LOG_TAIL / (1.0 + gamma)))
+    u1 = min(cap, max(30.0, _LOG_TAIL / (1.0 - gamma)))
+    amp = side * math.sin(d) / math.pi
+    log_amp, cd = math.log(abs(amp)), math.cos(d)
 
     def f(u):
-        return _damped(g(u), gamma, u)
+        # g e^(gamma u) in log magnitude, with 2 cosh u - 2 cos d written as
+        # e^|u| (1 - 2 cos d e^-|u| + e^-2|u|): cosh alone overflows past
+        # |u| = 710, well inside the truncation for |gamma| near 1
+        au = np.abs(u)
+        log_den = au + np.log1p(np.exp(-2.0 * au) - 2.0 * cd * np.exp(-au))
+        return math.copysign(1.0, amp) * np.exp(log_amp - log_den + gamma * u)
 
     val = 0.0 + 0.0j
     for a, b in ((-u0, 0.0), (0.0, u1)):
@@ -237,16 +164,6 @@ def _entry_transform(kappa, lam: complex) -> complex:
     return val
 
 
-def _damped(g, gamma: float, u):
-    """g * e^(gamma*u) evaluated in log magnitude: the two factors can
-    individually overflow where the product is tiny."""
-    g = np.asarray(g, dtype=float)
-    u = np.asarray(u, dtype=float)
-    with np.errstate(divide="ignore"):
-        mag = np.exp(np.log(np.abs(g)) + gamma * u)
-    return np.sign(g) * mag
-
-
 # -- weight lines ----------------------------------------------------------
 
 def line_offset(a: float) -> float:
@@ -257,75 +174,27 @@ def line_offset(a: float) -> float:
     return 0.0 - a
 
 
-# -- fast vectorized line sampling ----------------------------------------
-
-_DU = 0.01
-
+# -- line sampling and tail bound -----------------------------------------
 
 def _line_samples(op: MellinOperator, gamma, xi) -> np.ndarray:
     """Symbol matrices K(xi + i*gamma) for arrays of xi and gamma (either
-    may be a scalar), shape (n, k, k).
-
-    A kernel's closed-form ``symbol`` is used when it has one; otherwise
-    the trapezoid rule on a uniform log grid, spectrally accurate for the
-    analytic kernels here and cross-checked against the adaptive quadrature
-    in the test suite.
-    """
+    may be a scalar), shape (n, k, k), from the closed form."""
     lam = np.atleast_1d(np.asarray(xi, dtype=float) + 1j * np.asarray(gamma))
-    k = op.size
-    out = np.broadcast_to(op.delta.astype(complex), (len(lam), k, k)).copy()
-    done: dict[int, np.ndarray] = {}
-    for i in range(k):
-        for j in range(k):
-            ker = op.entries[i][j]
-            if ker is None:
-                continue
-            if id(ker) not in done:
-                done[id(ker)] = _entry_samples(ker, lam)
-            out[:, i, j] += done[id(ker)]
-    return out
+    return op.delta + ray_pair_symbol(op.d, op.side, lam[:, None, None])
 
 
-def _entry_samples(kappa, lam: np.ndarray) -> np.ndarray:
-    symbol = getattr(kappa, "symbol", None)
-    if symbol is not None:
-        return symbol(lam)
-    out = np.empty(len(lam), dtype=complex)
-    for gamma in np.unique(lam.imag):
-        on = lam.imag == gamma
-        out[on] = _entry_line(kappa, gamma, lam.real[on])
-    return out
+def tail_majorant(op: MellinOperator, xi: float) -> float:
+    """Bound on the Frobenius norm of the kernel part of the symbol at every
+    lam with |Re lam| >= xi > 0 and |Im lam| < 1; it decreases in xi.
 
-
-def _entry_line(kappa, gamma: float, xi: np.ndarray) -> np.ndarray:
-    u0, u1 = _truncation(kappa, gamma)
-    n = int(math.ceil((u0 + u1) / _DU)) + 1
-    u = np.linspace(-u0, u1, n)
-    du = u[1] - u[0]
-    w = _damped(_log_eval(kappa)(u), gamma, u) * du
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return np.exp(-1j * np.outer(xi, u)) @ w
-
-
-def _entry_tail_constant(kappa, gamma: float) -> float:
-    # total variation of u -> kappa(e^u) e^(gamma u) bounds |entry(xi)| by TV/|xi|
-    u0, u1 = _truncation(kappa, gamma)
-    u = np.arange(-u0, u1 + _DU, _DU)
-    g = _damped(_log_eval(kappa)(u), gamma, u)
-    return float(np.sum(np.abs(np.diff(g))))
-
-
-def tail_majorant(op: MellinOperator, gamma: float):
-    """C such that the Frobenius norm of the kernel part of the symbol is
-    bounded by 2*C/(1 + |xi|) for large |xi| (conservative factor 2)."""
-    total = 0.0
-    for row in op.entries:
-        for ker in row:
-            if ker is None:
-                continue
-            total += _entry_tail_constant(ker, gamma) ** 2
-    return math.sqrt(total)
+    For d in (0, pi] after reflection, |sinh(x + iy)|^2 = sinh(x)^2 + sin(y)^2
+    gives |sinh((pi - d) lam) / sinh(pi lam)| <= cosh((pi - d) xi) / sinh(pi xi),
+    written here with non-positive exponents only.
+    """
+    d = np.minimum(op.d, 2.0 * math.pi - op.d)[op.side != 0]
+    bound = (np.exp(-d * xi) + np.exp(-(2.0 * math.pi - d) * xi)) \
+        / -math.expm1(-2.0 * math.pi * xi)
+    return math.hypot(*bound)       # no underflow of the squares
 
 
 # -- scans -----------------------------------------------------------------
@@ -398,9 +267,11 @@ def invertibility_scan(op: MellinOperator, c: float, a: float,
 
     The verdict combines the sampled minimum over [-xi_max, xi_max] with an
     explicit tail bound: beyond xi_max the kernel part is majorized by
-    2*C/(1+|xi|), so invertibility there follows from the constant part
+    ``tail_majorant``, so invertibility there follows from the constant part
     alone.  A failing tail bound doubles xi_max up to a cap.
     """
+    if not xi_max > 0.0:
+        raise MellinError(f"xi_max = {xi_max} must be positive")
     samples = symbol_on_line(op, c, a, _base_grid(xi_max))
     i = int(np.argmin(samples.sigma_min))
     margin = float(samples.sigma_min[i])
@@ -414,9 +285,8 @@ def invertibility_scan(op: MellinOperator, c: float, a: float,
     if sig_inf <= tol:
         return ScanResult(False, min(margin, sig_inf), math.inf, xi_max)
 
-    C = tail_majorant(op, line_offset(a))
     cur = xi_max
-    while 2.0 * C / (1.0 + cur) >= sig_inf - tol:
+    while tail_majorant(op, cur) >= sig_inf - tol:
         if cur >= XI_MAX_CAP:
             raise MellinError(
                 f"tail bound fails at xi_max = {cur} (cap {XI_MAX_CAP})")
@@ -429,8 +299,7 @@ def invertibility_scan(op: MellinOperator, c: float, a: float,
             if margin <= tol:
                 return ScanResult(False, margin, witness, nxt)
         cur = nxt
-    tail_floor = sig_inf - 2.0 * C / (1.0 + cur)
-    return ScanResult(True, min(margin, max(tail_floor, margin)), witness, cur)
+    return ScanResult(True, margin, witness, cur)
 
 
 # -- admissible weight windows --------------------------------------------

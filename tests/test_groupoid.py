@@ -100,7 +100,7 @@ def test_crack_tip_limit_is_pure_jump(slit_square):
     op = limit_operator(P, G.stratum("t#c0"))
     # a straight crack tip has collinear faces: no integral kernel, only the
     # twin jump coupling
-    assert all(e is None for row in op.entries for e in row)
+    assert not np.any(op.side)
     assert np.array_equal(op.delta, [[0.0, -1.0], [-1.0, 0.0]])
 
 
@@ -111,6 +111,17 @@ def test_homogeneity_gate():
             lambda r, s: 1.0 / (r + s + 1.0)})
     with pytest.raises(StratumError):
         limit_operator(bad, stratum)
+
+
+def test_rejects_kernel_that_is_not_a_ray_pair():
+    # homogeneous of degree -1, so it passes the homogeneity gate, but the
+    # limit operator only holds ray-pair kernels
+    stratum = _groupoid("square").stratum("a")
+    other = OperatorDescriptor(1.0, local_kernels={
+        ("a", stratum.labels[0], stratum.labels[1]):
+            lambda r, s: r / (r * r + s * s)})
+    with pytest.raises(StratumError, match="not a ray-pair kernel"):
+        limit_operator(other, stratum)
 
 
 def test_jump_shape_gate():

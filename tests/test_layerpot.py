@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import ArpackNoConvergence
 
@@ -80,6 +80,7 @@ def test_kernel_crack_faces_opposite(slit_square):
 @given(st.integers(min_value=4, max_value=40),
        st.floats(min_value=0.2, max_value=0.8),
        st.integers(min_value=2, max_value=20))
+@example(n=36, q=0.203125, n_c=20)
 def test_graded_breaks_properties(n, q, n_c):
     b = _graded_breaks(n, q, n_c)
     w = np.diff(b)
@@ -108,6 +109,9 @@ def test_graded_mesh_rejects_bad_params(square):
         graded_mesh(M, n=2)
     with pytest.raises(ValueError):
         graded_mesh(M, q=1.0)
+    # smallest width h*q^n_c below lp.MIN_GRADED_WIDTH
+    with pytest.raises(ValueError, match="smallest graded width"):
+        graded_mesh(M, n=64, q=0.2, n_c=24)
     with pytest.raises(ValueError):
         graded_mesh(M, n_c=1)
 

@@ -22,6 +22,7 @@ from polyfred.cli import main
 from polyfred.groupoid import MellinOperator, build_groupoid, limit_operator
 from polyfred.layerpot import np_operator_descriptor
 from polyfred.mellin import (
+    XI_MAX_CAP,
     MellinError,
     _line_samples,
     admissible_weight_window,
@@ -63,7 +64,8 @@ def test_transform_matches_closed_form(theta):
 @pytest.mark.parametrize("theta", (math.pi / 2, 1.5 * math.pi))
 def test_transform_off_axis(theta):
     op = wedge_np_kernel(theta)
-    for lam in (0.5 + 0.4j, -2.0 - 0.6j, 3.0 + 0.8j):
+    # 0.99j reaches |u| = 3500 on the log scale, where cosh u overflows
+    for lam in (0.5 + 0.4j, -2.0 - 0.6j, 3.0 + 0.8j, 0.3 + 0.99j, -5.0 - 0.99j):
         K = mellin_transform(op, lam)
         assert abs(K[0, 1] - closed_form(theta, lam)) <= 1e-8
 
@@ -86,40 +88,44 @@ def test_closed_form_against_mpmath(theta, lam):
     assert abs(complex(val) - closed_form(theta, lam)) <= 1e-10
 
 
-def _stratum_kernels():
-    """(fixture, vertex id, kernel) for every kernel of every limit operator
-    of every fixture."""
+def _stratum_operators():
+    """(fixture, limit operator) for every vertex stratum of every fixture."""
     out = []
     for name in ALL_DOMAINS:
         u = unfold(parse_domain(domain_path(name)))
         P = np_operator_descriptor(u, 1.0)
         for stratum in build_groupoid(desingularize_boundary(u)).boundary_strata:
-            op = limit_operator(P, stratum)
-            out.extend((name, stratum.vertex_id, ker)
-                       for row in op.entries for ker in row if ker is not None)
+            out.append((name, limit_operator(P, stratum)))
     return out
+
+
+def _ray_pair(d, side):
+    return MellinOperator("k", np.array([[d]]), np.array([[side]]),
+                          np.zeros((1, 1)))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_closed_form_symbols_match_quadrature():
     """Every stratum kernel's closed-form symbol against the quadrature of
     mellin_transform, on and off the real axis and out to |xi| = 800.
-    Kernels with equal values share one quadrature reference."""
+    Kernels with equal angle and side share one quadrature reference."""
     lams = np.array([0.0, 0.37, -2.5, 11.0, 0.6 + 0.45j, -3.0 - 0.7j,
                      0.95j, -0.9j, 40.0 + 0.9j, 200.0 - 0.3j, -800.0 + 0.5j,
                      800.0])
-    probe = np.array([0.3, 1.7, 4.0])
     reference = {}
-    kernels = _stratum_kernels()
-    assert len(kernels) >= 50
-    for name, vid, ker in kernels:
-        key = tuple(np.round(ker(probe), 12))
-        if key not in reference:
-            op = MellinOperator("k", 1, ((ker,),), np.zeros((1, 1)))
-            reference[key] = np.array([mellin_transform(op, lam)[0, 0]
-                                       for lam in lams])
-        err = np.max(np.abs(ker.symbol(lams) - reference[key]))
-        assert err <= 1e-8, (name, vid, err)
+    count = 0
+    for name, op in _stratum_operators():
+        kernel_part = _line_samples(op, lams.imag, lams.real) - op.delta
+        for i, j in zip(*np.nonzero(op.side)):
+            count += 1
+            key = (op.d[i, j], op.side[i, j])
+            if key not in reference:
+                reference[key] = np.array([
+                    mellin_transform(_ray_pair(*key), lam)[0, 0]
+                    for lam in lams])
+            err = np.max(np.abs(kernel_part[:, i, j] - reference[key]))
+            assert err <= 1e-8, (name, op.vertex_id, err)
+    assert count >= 50
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -127,30 +133,16 @@ def test_closed_form_symbols_match_quadrature():
 def test_closed_form_near_zero(d):
     # subnormal lam must not reach the expm1 quotient; below |lam| = 1e-9
     # the symbol equals its limit at 0 to rounding
-    symbol = ray_pair_symbol(d, 1)
     limit = (math.pi - d) / math.pi
     lams = np.array([5e-324j, 2.2250738585e-313j, 1e-300 + 1e-300j, 1e-20,
                      1e-10j, -3e-9, 1e-8j, 1e-6 - 1e-6j])
-    got = symbol(lams)
+    got = ray_pair_symbol(d, 1, lams)
     with mpmath.workdps(40):
         for lam, val in zip(lams, got):
             ref = complex(mpmath.sinh((mpmath.pi - d) * mpmath.mpc(lam))
                           / mpmath.sinh(mpmath.pi * mpmath.mpc(lam)))
             assert abs(val - ref) <= 1e-14, (lam, val, ref)
     assert np.allclose(got[:5], limit, rtol=1e-15, atol=0.0)
-
-
-def test_line_samples_fallback_without_closed_form():
-    # a kernel with no hints goes through the trapezoid line sampler
-    wedge = wedge_np_kernel(math.pi / 2)
-    kappa = wedge.entries[0][1]
-    bare = MellinOperator("bare", 2, ((None, lambda t: kappa(t)),
-                                      (lambda t: kappa(t), None)),
-                          np.zeros((2, 2)))
-    xi = np.array([0.0, 0.7, 3.0, 11.0])
-    for gamma in (0.0, -0.5, 0.4):
-        fast = _line_samples(bare, gamma, xi)
-        assert np.max(np.abs(fast - _line_samples(wedge, gamma, xi))) <= 1e-9
 
 
 def test_line_determinant_vectorized():
@@ -169,8 +161,7 @@ def test_window_empty_when_reference_is_singular():
     assert rep.per_vertex == {"wedge": None}
     assert not rep.contains(-0.1, 0.1)
     # a crack tip at c = +-1: c*I + J is singular for every weight
-    tip = MellinOperator("tip", 2, ((None, None), (None, None)),
-                         np.array([[0.0, -1.0], [-1.0, 0.0]]))
+    tip = _crack_tip()
     for c in (1.0, -1.0):
         assert admissible_weight_window(tip, c).global_window is None
     assert admissible_weight_window(tip, 3.0).global_window == (-1.5, 1.5)
@@ -181,10 +172,9 @@ def test_window_ends_at_touching_zero():
     # square of the single wedge's, so its zeros touch 0 without a sign
     # change, and the window must still end where the single wedge's does
     wedge = wedge_np_kernel(math.pi / 2)
-    kappa = wedge.entries[0][1]
-    entries = ((None, kappa, None, None), (kappa, None, None, None),
-               (None, None, None, kappa), (None, None, kappa, None))
-    double = MellinOperator("double", 4, entries, np.zeros((4, 4)))
+    double = MellinOperator("double", np.kron(np.eye(2), wedge.d),
+                            np.kron(np.eye(2, dtype=int), wedge.side),
+                            np.zeros((4, 4)))
     c = 0.75
     grid = np.linspace(-0.98, 0.98, 241)
     dets = line_determinant(double, c, grid)
@@ -195,6 +185,12 @@ def test_window_ends_at_touching_zero():
     want = admissible_weight_window(wedge, c).global_window
     assert abs(lo - want[0]) <= 1e-9 and abs(hi - want[1]) <= 1e-9
     assert 0.5 < hi < 0.6 and abs(lo + hi) <= 1e-9
+
+
+def _crack_tip():
+    # a straight crack tip: twin faces coupled by the jump, no kernel
+    return MellinOperator("tip", np.zeros((2, 2)), np.zeros((2, 2), dtype=int),
+                          np.array([[0.0, -1.0], [-1.0, 0.0]]))
 
 
 def test_flat_wedge_is_removable_zero():
@@ -217,6 +213,9 @@ def test_validity_strip(theta):
 def test_symbol_guard_outside_strip():
     with pytest.raises(MellinError):
         symbol_on_line(wedge_np_kernel(math.pi / 2), 1.0, 1.5)
+    # the tail bound needs xi_max > 0, and doubling 0 would never end
+    with pytest.raises(MellinError, match="must be positive"):
+        invertibility_scan(wedge_np_kernel(math.pi / 2), 1.0, 0.0, xi_max=0.0)
 
 
 def test_line_samples_match_adaptive_quadrature():
@@ -277,8 +276,7 @@ def test_scan_beyond_window_is_invertible_again():
 
 
 def test_scan_pure_jump_tip():
-    tip = MellinOperator("tip", 2, ((None, None), (None, None)),
-                         np.array([[0.0, -1.0], [-1.0, 0.0]]))
+    tip = _crack_tip()
     for c in (1.0, -1.0):
         res = invertibility_scan(tip, c, 0.0)
         assert not res.invertible
@@ -286,9 +284,26 @@ def test_scan_pure_jump_tip():
     assert res.invertible
 
 
-def test_tail_majorant_positive():
-    op = wedge_np_kernel(math.pi / 2)
-    assert tail_majorant(op, 0.0) > 0.0
+@settings(max_examples=200, deadline=None)
+@given(st.floats(min_value=1e-3, max_value=2.0 * math.pi - 1e-3),
+       st.sampled_from((-1, 1)),
+       st.floats(min_value=1e-3, max_value=800.0),
+       st.floats(min_value=-1.0, max_value=1.0, exclude_min=True,
+                 exclude_max=True))
+def test_tail_majorant_bounds_symbol(d, side, xi, gamma):
+    # |sinh((pi-d) lam) / sinh(pi lam)| <= cosh((pi-d) xi) / sinh(pi xi) on
+    # the whole strip, checked against the closed form
+    bound = tail_majorant(_ray_pair(d, side), xi)
+    for lam in (xi + 1j * gamma, -xi + 1j * gamma):
+        assert abs(ray_pair_symbol(d, side, lam)) <= bound * (1.0 + 1e-12)
+
+
+def test_tail_majorant_decreases_on_fixture_strata():
+    xi = np.geomspace(1e-2, XI_MAX_CAP, 60)
+    for name, op in _stratum_operators():
+        bounds = np.array([tail_majorant(op, x) for x in xi])
+        assert np.all(np.diff(bounds) <= 0.0), (name, op.vertex_id)
+        assert (bounds[0] > 0.0) == bool(np.any(op.side))
 
 
 # -- weight windows --------------------------------------------------------
