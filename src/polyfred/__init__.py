@@ -27,7 +27,6 @@ from .groupoid import (
 from .mellin import (
     MellinError,
     ScanResult,
-    WindowReport,
     admissible_weight_window,
     invertibility_scan,
     line_offset,
@@ -40,11 +39,13 @@ from .layerpot import (
     FredholmVerdict,
     StudyResult,
     WeightedNormSpec,
+    WindowReport,
     assemble_np,
     domain_windows,
     double_layer_potential,
     fredholm_verdict,
     graded_mesh,
+    limit_operators,
     min_singular_value_study,
     np_kernel,
     solve_dirichlet,

@@ -255,15 +255,6 @@ def window(domain_file, a_min, a_max, c, tol, xi_max, out, fmt):
                                       xi_max=xi_max)
     except (DomainError, MellinError, ValueError, OSError) as exc:
         _fail(str(exc))
-    margin_rows = [("a", "margin", "witness_xi")]
-    # no curve for an empty window, nor for a domain without vertices
-    if rep.global_window and rep.per_vertex:
-        lo, hi = rep.global_window
-        for a in np.linspace(max(a_min, lo + 1e-3), min(a_max, hi - 1e-3), 21):
-            v = layerpot.fredholm_verdict(d, c, float(a), tol=tol,
-                                          xi_max=xi_max)
-            worst = min(v.per_vertex.values(), key=lambda r: r.margin)
-            margin_rows.append((float(a), worst.margin, worst.witness_xi))
     report = {
         "config": _config_echo(domain=domain_file, c=c, a_min=a_min,
                                a_max=a_max, tol=tol, xi_max=xi_max),
@@ -271,9 +262,8 @@ def window(domain_file, a_min, a_max, c, tol, xi_max, out, fmt):
                        for k, w in rep.per_vertex.items()},
         "global_window": (list(rep.global_window)
                           if rep.global_window else None),
-        "reference_window": (list(rep.reference_window)
-                             if rep.reference_window else None),
-        "margin_curve": margin_rows,
+        "reference_window": list(rep.reference_window),
+        "margin_curve": [("a", "margin", "witness_xi"), *rep.margin_curve],
     }
     _emit(report, out, fmt, table_key="margin_curve")
     sys.exit(0)

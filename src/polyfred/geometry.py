@@ -505,6 +505,11 @@ class UVertex:
     sectors: tuple[USector, ...]
     position: tuple[float, float]
 
+    @property
+    def labels(self) -> tuple[URay, ...]:
+        """Edge-ends at the vertex: ray_start, ray_end of each sector in turn."""
+        return tuple(r for s in self.sectors for r in (s.ray_start, s.ray_end))
+
 
 @dataclass(frozen=True)
 class UEdge:
@@ -636,11 +641,8 @@ class DesingularizedBoundary:
         self.domain = u.base
         self.collars: list[Collar] = []
         for uid, uv in u.uvertices.items():
-            labels = []
-            for s in uv.sectors:
-                labels.extend([s.ray_start, s.ray_end])
             eps = u.base.epsilon[uv.base_vertex_id]
-            self.collars.append(Collar(uid, eps, tuple(labels)))
+            self.collars.append(Collar(uid, eps, uv.labels))
         self.smooth_part = list(u.uedges.values())
 
     @property

@@ -83,13 +83,9 @@ def build_groupoid(M: DesingularizedBoundary, kind: str | None = None
     if kind == "crack" and not cracked:
         raise StratumError("crack structure requested on crack-free input")
 
-    strata = []
-    for uid, uv in M.unfolded.uvertices.items():
-        labels = []
-        for s in uv.sectors:
-            labels.extend([s.ray_start, s.ray_end])
-        strata.append(VertexStratum(uid, tuple(labels), uv.family))
-    return GroupoidDescriptor(M, "interior", tuple(strata), kind)
+    strata = tuple(VertexStratum(uid, uv.labels, uv.family)
+                   for uid, uv in M.unfolded.uvertices.items())
+    return GroupoidDescriptor(M, "interior", strata, kind)
 
 
 def orbit_representatives(G: GroupoidDescriptor):

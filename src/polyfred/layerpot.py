@@ -28,16 +28,13 @@ from .geometry import (
     unfold,
 )
 from .groupoid import (
+    MellinOperator,
     OperatorDescriptor,
     build_groupoid,
     limit_operator,
 )
 from . import mellin
-from .mellin import (
-    WindowReport,
-    admissible_weight_window,
-    invertibility_scan,
-)
+from .mellin import admissible_weight_window, invertibility_scan
 
 INCONCLUSIVE_MARGIN = 1e-3
 SOLVE_RESIDUAL_TOL = 1e-10
@@ -348,9 +345,7 @@ def np_operator_descriptor(u: UnfoldedDomain, c: float) -> OperatorDescriptor:
     kernels = {}
     jumps = {}
     for uid, uv in u.uvertices.items():
-        labels = []
-        for s in uv.sectors:
-            labels.extend([s.ray_start, s.ray_end])
+        labels = uv.labels
         k = len(labels)
         J = np.zeros((k, k))
         for i, la in enumerate(labels):
@@ -367,6 +362,18 @@ def np_operator_descriptor(u: UnfoldedDomain, c: float) -> OperatorDescriptor:
 
 
 # -- Fredholm verdicts -----------------------------------------------------
+
+def limit_operators(d: ConicalDomain, c: float) -> dict[str, MellinOperator]:
+    """Limit operator of c*I + K at every vertex stratum, by vertex id.
+
+    They depend on the domain and c only; the weight enters through the
+    line each one is scanned on.  A domain without vertices has none.
+    """
+    u = unfold(d)
+    G = build_groupoid(desingularize_boundary(u))
+    P = np_operator_descriptor(u, c)
+    return {s.vertex_id: limit_operator(P, s) for s in G.boundary_strata}
+
 
 @dataclass(frozen=True)
 class FredholmVerdict:
@@ -395,69 +402,75 @@ def _reference_window(d: ConicalDomain) -> tuple[float, float]:
 
 def fredholm_verdict(d: ConicalDomain, c: float, a: float,
                      tol: float = mellin.SCAN_TOL,
-                     xi_max: float = mellin.XI_MAX_DEFAULT,
-                     inconclusive_margin: float = INCONCLUSIVE_MARGIN
-                     ) -> FredholmVerdict:
+                     xi_max: float = mellin.XI_MAX_DEFAULT) -> FredholmVerdict:
     """Fredholm or not for c*I + K on the weight-a scale.
 
     The operator is Fredholm exactly when it is elliptic (c != 0) and the
     limit symbol at every vertex stratum is invertible along the weight
-    line.  Margins inside the inconclusive band are reported, not resolved.
+    line.  Margins up to INCONCLUSIVE_MARGIN are reported, not resolved.
     """
-    u = unfold(d)
-    M = desingularize_boundary(u)
-    G = build_groupoid(M)
-    P = np_operator_descriptor(u, c)
+    per_vertex = {vid: invertibility_scan(op, c, a, xi_max=xi_max, tol=tol)
+                  for vid, op in limit_operators(d, c).items()}
+    witnesses = tuple(v for v, r in per_vertex.items() if not r.invertible)
     elliptic = c != 0.0
-    per_vertex = {}
-    witnesses = []
-    inconclusive = False
-    for stratum in G.boundary_strata:
-        res = invertibility_scan(limit_operator(P, stratum), c, a,
-                                 xi_max=xi_max, tol=tol)
-        per_vertex[stratum.vertex_id] = res
-        if not res.invertible:
-            witnesses.append(stratum.vertex_id)
-        elif res.margin <= inconclusive_margin:
-            inconclusive = True
     if not elliptic or witnesses:
         overall = "not Fredholm"
-    elif inconclusive:
+    elif any(r.margin <= INCONCLUSIVE_MARGIN for r in per_vertex.values()):
         overall = "inconclusive"
     else:
         overall = "Fredholm"
-    return FredholmVerdict(c, a, elliptic, per_vertex, overall,
-                           tuple(witnesses), _reference_window(d))
+    return FredholmVerdict(c, a, elliptic, per_vertex, overall, witnesses,
+                           _reference_window(d))
+
+
+@dataclass(frozen=True)
+class WindowReport:
+    c: float
+    per_vertex: dict                 # vertex id -> (lo, hi), None when empty
+    global_window: tuple[float, float] | None
+    reference_window: tuple[float, float]
+    margin_curve: tuple              # (a, margin, witness_xi) rows
+
+    def contains(self, lo: float, hi: float) -> bool:
+        if self.global_window is None:
+            return False
+        return self.global_window[0] <= lo and hi <= self.global_window[1]
 
 
 def domain_windows(d: ConicalDomain, c: float,
                    search: tuple[float, float] = (-1.2, 1.2),
                    tol: float = mellin.SCAN_TOL,
                    xi_max: float = mellin.XI_MAX_DEFAULT) -> WindowReport:
-    """Admissible weight window per vertex stratum, intersected globally.
+    """Admissible weight window per vertex stratum, intersected globally,
+    with the margin curve across the global window.
 
-    Every stratum goes through its limit operator, whose ray-pair kernels
-    have closed-form Mellin symbols; nothing is cached between calls.  A
-    vertex with no admissible weight gets the window None and so does the
-    global window.  A domain without vertices is Fredholm on the whole
-    search range.
+    The limit operators are built once (``limit_operators``) and serve both
+    the windows and the curve.  A vertex with no admissible weight gets the
+    window None and so does the global window.  A domain without vertices
+    is Fredholm on the whole search range.  The curve samples 21 weights
+    from 1e-3 inside the global window (clipped to the search range); each
+    row holds the weight and the margin and witness xi of the stratum with
+    the smallest margin there.  It is empty when there are no vertices or
+    no global window.
     """
-    u = unfold(d)
-    G = build_groupoid(desingularize_boundary(u))
-    P = np_operator_descriptor(u, c)
-    per_vertex = {}
-    for stratum in G.boundary_strata:
-        rep = admissible_weight_window(limit_operator(P, stratum), c, search,
-                                       tol=tol,
-                                       vertex_id=stratum.vertex_id,
-                                       xi_max=xi_max)
-        per_vertex[stratum.vertex_id] = rep.global_window
+    ops = limit_operators(d, c)
+    per_vertex = {vid: admissible_weight_window(op, c, search, tol=tol,
+                                                xi_max=xi_max)
+                  for vid, op in ops.items()}
     ends = list(per_vertex.values())
     lo = max([min(search)] + [w[0] for w in ends if w])
     hi = min([max(search)] + [w[1] for w in ends if w])
     window = (lo, hi) if all(ends) and lo < hi else None
-    return WindowReport(c, per_vertex, window,
-                        reference_window=_reference_window(d))
+    curve = []
+    if window and ops:
+        a_min, a_max = search
+        for a in np.linspace(max(a_min, lo + 1e-3), min(a_max, hi - 1e-3), 21):
+            worst = min((invertibility_scan(op, c, float(a), xi_max=xi_max,
+                                            tol=tol) for op in ops.values()),
+                        key=lambda r: r.margin)
+            curve.append((float(a), worst.margin, worst.witness_xi))
+    return WindowReport(c, per_vertex, window, _reference_window(d),
+                        tuple(curve))
 
 
 # -- Dirichlet harness -----------------------------------------------------
@@ -476,8 +489,7 @@ class SolveResult:
 
 
 def solve_dirichlet(d: ConicalDomain, g, c: float = 1.0, a: float = 0.0,
-                    mesh: BoundaryMesh | None = None,
-                    check_verdict: bool = True) -> SolveResult:
+                    mesh: BoundaryMesh | None = None) -> SolveResult:
     """Interior Dirichlet solve via the density equation (I + A) phi = 2 g.
 
     The interior trace of the double layer potential of phi is (I + K) phi,
@@ -488,11 +500,10 @@ def solve_dirichlet(d: ConicalDomain, g, c: float = 1.0, a: float = 0.0,
         raise ValueError("Dirichlet harness supports crack-free domains only")
     if c != 1.0:
         raise ValueError("the Dirichlet identity requires c = +1")
-    if check_verdict:
-        v = fredholm_verdict(d, c, a)
-        if not v.is_fredholm:
-            raise ValueError(f"operator not Fredholm at (c={c}, a={a}): "
-                             f"{v.overall}, witnesses {v.witnesses}")
+    v = fredholm_verdict(d, c, a)
+    if not v.is_fredholm:
+        raise ValueError(f"operator not Fredholm at (c={c}, a={a}): "
+                         f"{v.overall}, witnesses {v.witnesses}")
     if mesh is None:
         mesh = _mesh_for(d, 32, 0.5, 12)
     A = assemble_np(d, mesh)
@@ -514,7 +525,7 @@ def solve_dirichlet(d: ConicalDomain, g, c: float = 1.0, a: float = 0.0,
 class StudyResult:
     rows: tuple                      # (n, node count, sigma) triples
     trend: str                       # "bounded-below" | "decaying" | "inconclusive"
-    slope: float
+    slope: float | None              # None when the finest sigma is rounding level
     deflate: int
 
     def table(self):
@@ -603,8 +614,9 @@ def min_singular_value_study(d, c: float, a: float,
     finite-dimensional kernel (a Fredholm operator may well have one, e.g.
     constants for c = -1) so the trend measures bounded-below-ness of the
     rest.  Classification is by the log-log slope over the finest
-    meshes: decaying below -0.4, bounded above -0.15; a sigma already at
-    rounding level is decaying outright.  The probe is reliable for weights
+    meshes: decaying below -0.4, bounded above -0.15; a finest sigma at
+    rounding level is decaying outright, and its slope, a fit through
+    rounding noise, is None.  The probe is reliable for weights
     a <= 0 inside the admissible window and beyond both endpoints; for
     a > 0 the weight excludes densities that are nonzero at a vertex, yet
     truncated graded meshes readmit them as slowly vanishing pseudo-modes,
@@ -637,15 +649,17 @@ def min_singular_value_study(d, c: float, a: float,
         return (n, mesh.size, float(sigma))
 
     # one call per mesh, so each matrix is freed before the next is built
-    rows = [one(n) for n in mesh_sizes]
+    rows = tuple(one(n) for n in mesh_sizes)
+    if rows[-1][2] < ROUNDING_SIGMA:
+        return StudyResult(rows, "decaying", None, deflate)
     logN = np.log([r[1] for r in rows[-3:]])
     logS = np.log(np.maximum([r[2] for r in rows[-3:]], 1e-300))
     slope = float(np.polyfit(logN, logS, 1)[0])
-    if rows[-1][2] < ROUNDING_SIGMA or slope < -0.4:
+    if slope < -0.4:
         trend = "decaying"
     elif slope > -0.15:
         trend = "bounded-below"
     else:
         trend = "inconclusive"
-    return StudyResult(tuple(rows), trend, slope, deflate)
+    return StudyResult(rows, trend, slope, deflate)
 

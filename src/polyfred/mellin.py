@@ -219,9 +219,10 @@ def _sigma_min(mats: np.ndarray) -> np.ndarray:
 
 
 def symbol_on_line(op: MellinOperator, c: float, a: float,
-                   xi_grid=None) -> LineSamples:
-    """Sampled matrices c*I + K(xi + i*gamma(a)) on the line of the weight a,
-    with refinement near the minima of the smallest singular value.
+                   xi_grid) -> LineSamples:
+    """Sampled matrices c*I + K(xi + i*gamma(a)) on the line of the weight a
+    at xi_grid, with refinement near the minima of the smallest singular
+    value.
 
     Kernels here are real, so the symbol at -xi is the conjugate of the
     symbol at +xi and the scan covers xi >= 0 without loss.
@@ -230,8 +231,7 @@ def symbol_on_line(op: MellinOperator, c: float, a: float,
     lo, hi = validity_strip(op)
     if not lo < gamma < hi:
         raise MellinError(f"gamma = {gamma} outside validity strip ({lo}, {hi})")
-    xi = np.asarray(xi_grid, dtype=float) if xi_grid is not None \
-        else _base_grid(XI_MAX_DEFAULT)
+    xi = np.asarray(xi_grid, dtype=float)
     mats = c * np.eye(op.size)[None] + _line_samples(op, gamma, xi)
     sig = _sigma_min(mats)
     # three rounds of local refinement around the current minimum
@@ -304,19 +304,6 @@ def invertibility_scan(op: MellinOperator, c: float, a: float,
 
 # -- admissible weight windows --------------------------------------------
 
-@dataclass(frozen=True)
-class WindowReport:
-    c: float
-    per_vertex: dict                 # vertex id -> (lo, hi), None when empty
-    global_window: tuple[float, float] | None
-    reference_window: tuple[float, float] | None = None
-
-    def contains(self, lo: float, hi: float) -> bool:
-        if self.global_window is None:
-            return False
-        return self.global_window[0] <= lo and hi <= self.global_window[1]
-
-
 def line_determinant(op: MellinOperator, c: float, gamma):
     """det(c*I + symbol) on the imaginary axis lam = i*gamma, for a scalar
     gamma (returns a float) or an array of them (returns an array).
@@ -365,10 +352,10 @@ def _axis_roots(op: MellinOperator, c: float, grid: np.ndarray,
 def admissible_weight_window(op: MellinOperator, c: float,
                              search: tuple[float, float] = (-1.5, 1.5),
                              tol: float = SCAN_TOL,
-                             vertex_id: str | None = None,
-                             xi_max: float = XI_MAX_DEFAULT) -> WindowReport:
-    """Maximal interval of weights a around the reference on which the line
-    symbol is invertible; the window is None when there is no such interval.
+                             xi_max: float = XI_MAX_DEFAULT
+                             ) -> tuple[float, float] | None:
+    """Maximal interval (lo, hi) of weights a around the reference on which
+    the line symbol is invertible, or None when there is no such interval.
 
     That happens when the symbol is singular on the reference line itself:
     c*I + J singular at a crack tip, or a symbol zero on the reference line.
@@ -379,7 +366,6 @@ def admissible_weight_window(op: MellinOperator, c: float,
     interior is cross-checked by invertibility scans (which also catch any
     degeneracy away from the imaginary axis).
     """
-    vid = vertex_id or op.vertex_id
     lo_s, hi_s = validity_strip(op)
     pad = max(2e-2, 0.0 if hi_s - lo_s > 1.0 else 0.1 * (hi_s - lo_s))
     gs = sorted(min(max(line_offset(a), lo_s + pad), hi_s - pad)
@@ -393,7 +379,7 @@ def admissible_weight_window(op: MellinOperator, c: float,
         g_ref = 0.5 * (g_lo + g_hi)
     if not invertibility_scan(op, c, line_offset(g_ref), xi_max=xi_max,
                               tol=tol).invertible:
-        return WindowReport(c, {vid: None}, None)
+        return None
 
     roots = _axis_roots(op, c, np.linspace(g_lo, g_hi, 241), tol,
                         ENDPOINT_TOL)
@@ -412,5 +398,4 @@ def admissible_weight_window(op: MellinOperator, c: float,
             else:
                 w_hi = min(w_hi, gam)
 
-    window = (float(line_offset(w_hi)), float(line_offset(w_lo)))
-    return WindowReport(c, {vid: window}, window)
+    return (float(line_offset(w_hi)), float(line_offset(w_lo)))

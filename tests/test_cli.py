@@ -4,6 +4,7 @@ import inspect
 import json
 import math
 import re
+from collections import Counter
 
 import pytest
 from click.testing import CliRunner
@@ -176,6 +177,23 @@ def test_window_xi_max_reaches_scans(runner, monkeypatch):
     assert len(seen["verdict"]) == 21 * 4 and set(seen["verdict"]) == {80.0}
 
 
+@pytest.mark.parametrize("name", ALL_DOMAINS)
+def test_window_builds_each_limit_operator_once(runner, monkeypatch, name):
+    # the window search and the margin curve share one limit operator per
+    # vertex stratum
+    built = Counter()
+    build = layerpot.limit_operator
+
+    def counting(P, stratum):
+        built[stratum.vertex_id] += 1
+        return build(P, stratum)
+
+    monkeypatch.setattr(layerpot, "limit_operator", counting)
+    res = runner.invoke(main, ["window", domain_path(name), "--c", "1"])
+    assert res.exit_code == 0
+    assert built == dict.fromkeys(json.loads(res.stdout)["per_vertex"], 1)
+
+
 # -- solve -----------------------------------------------------------------
 
 def test_solve_square(runner):
@@ -202,6 +220,19 @@ def test_study_circle_decaying(runner):
     assert res.exit_code == 0
     rep = json.loads(res.stdout)
     assert rep["trend"] == "decaying"
+
+
+def test_study_rounding_level_has_no_slope(runner):
+    # the crack tips make the finest sigma rounding level: the trend is
+    # decaying by the rounding rule and a slope fitted through noise is null
+    res = runner.invoke(main, ["study", domain_path("slit_square"),
+                               "--c", "1", "--a", "-0.25", "--mesh-n", "8",
+                               "--mesh-n", "16", "--mesh-n", "32"])
+    assert res.exit_code == 0
+    rep = json.loads(res.stdout)
+    assert rep["table"][-1][2] < 1e-12
+    assert rep["trend"] == "decaying"
+    assert rep["slope"] is None
 
 
 def test_study_square_bounded(runner):

@@ -267,20 +267,37 @@ def test_domain_windows_square(square):
                         rep.reference_window[1] - 1e-3)
 
 
+@pytest.mark.parametrize("c", (1.0, -1.0, 0.75))
+@pytest.mark.parametrize("name", ("square", "lshape", "hexagon",
+                                  "slit_square"))
+def test_margin_curve_matches_verdicts(name, c):
+    # each row of the curve is the worst stratum of a one-weight verdict
+    d = pf.parse_domain(domain_path(name))
+    rep = lp.domain_windows(d, c)
+    if rep.global_window is None:
+        assert rep.margin_curve == ()
+        return
+    lo, hi = rep.global_window
+    weights = np.linspace(max(-1.2, lo + 1e-3), min(1.2, hi - 1e-3), 21)
+    assert [row[0] for row in rep.margin_curve] == weights.tolist()
+    for a, margin, witness_xi in rep.margin_curve:
+        v = fredholm_verdict(d, c, a)
+        worst = min(v.per_vertex.values(), key=lambda r: r.margin)
+        assert (margin, witness_xi) == (worst.margin, worst.witness_xi)
+
+
 # -- Dirichlet harness -----------------------------------------------------
 
 def test_solve_circle_constant(circle):
     mesh = _mesh_for(circle, 64, 0.5, 8)
-    sol = solve_dirichlet(circle, lambda x, y: 1.0, mesh=mesh,
-                          check_verdict=False)
+    sol = solve_dirichlet(circle, lambda x, y: 1.0, mesh=mesh)
     for p in ([0.0, 0.0], [0.3, 0.2], [-0.5, 0.4]):
         assert abs(sol(np.array(p)) - 1.0) <= 1e-9
 
 
 def test_solve_circle_harmonic(circle):
     mesh = _mesh_for(circle, 64, 0.5, 8)
-    sol = solve_dirichlet(circle, lambda x, y: x, mesh=mesh,
-                          check_verdict=False)
+    sol = solve_dirichlet(circle, lambda x, y: x, mesh=mesh)
     assert sol.rhs_factor == 2.0
     assert sol.residual <= 1e-10
     for p in ([0.0, 0.0], [0.3, 0.2], [0.0, -0.7]):

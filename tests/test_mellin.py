@@ -17,10 +17,10 @@ from hypothesis import given, settings
 from click.testing import CliRunner
 from hypothesis import strategies as st
 
-from polyfred.geometry import desingularize_boundary, parse_domain, unfold
+from polyfred.geometry import parse_domain
 from polyfred.cli import main
-from polyfred.groupoid import MellinOperator, build_groupoid, limit_operator
-from polyfred.layerpot import np_operator_descriptor
+from polyfred.groupoid import MellinOperator
+from polyfred.layerpot import WindowReport, limit_operators
 from polyfred.mellin import (
     XI_MAX_CAP,
     MellinError,
@@ -90,13 +90,9 @@ def test_closed_form_against_mpmath(theta, lam):
 
 def _stratum_operators():
     """(fixture, limit operator) for every vertex stratum of every fixture."""
-    out = []
-    for name in ALL_DOMAINS:
-        u = unfold(parse_domain(domain_path(name)))
-        P = np_operator_descriptor(u, 1.0)
-        for stratum in build_groupoid(desingularize_boundary(u)).boundary_strata:
-            out.append((name, limit_operator(P, stratum)))
-    return out
+    return [(name, op) for name in ALL_DOMAINS
+            for op in limit_operators(parse_domain(domain_path(name)),
+                                      1.0).values()]
 
 
 def _ray_pair(d, side):
@@ -156,15 +152,12 @@ def test_line_determinant_vectorized():
 
 def test_window_empty_when_reference_is_singular():
     # c = 1/2 at a right angle: det(c + K(i*gamma)) touches 0 at gamma = 0
-    rep = admissible_weight_window(wedge_np_kernel(math.pi / 2), 0.5)
-    assert rep.global_window is None
-    assert rep.per_vertex == {"wedge": None}
-    assert not rep.contains(-0.1, 0.1)
+    assert admissible_weight_window(wedge_np_kernel(math.pi / 2), 0.5) is None
     # a crack tip at c = +-1: c*I + J is singular for every weight
     tip = _crack_tip()
     for c in (1.0, -1.0):
-        assert admissible_weight_window(tip, c).global_window is None
-    assert admissible_weight_window(tip, 3.0).global_window == (-1.5, 1.5)
+        assert admissible_weight_window(tip, c) is None
+    assert admissible_weight_window(tip, 3.0) == (-1.5, 1.5)
 
 
 def test_window_ends_at_touching_zero():
@@ -181,8 +174,8 @@ def test_window_ends_at_touching_zero():
     assert np.all(dets >= 0.0)
     assert np.allclose(dets, line_determinant(wedge, c, grid) ** 2,
                        rtol=1e-12, atol=1e-15)
-    lo, hi = admissible_weight_window(double, c).global_window
-    want = admissible_weight_window(wedge, c).global_window
+    lo, hi = admissible_weight_window(double, c)
+    want = admissible_weight_window(wedge, c)
     assert abs(lo - want[0]) <= 1e-9 and abs(hi - want[1]) <= 1e-9
     assert 0.5 < hi < 0.6 and abs(lo + hi) <= 1e-9
 
@@ -212,7 +205,7 @@ def test_validity_strip(theta):
 
 def test_symbol_guard_outside_strip():
     with pytest.raises(MellinError):
-        symbol_on_line(wedge_np_kernel(math.pi / 2), 1.0, 1.5)
+        symbol_on_line(wedge_np_kernel(math.pi / 2), 1.0, 1.5, [0.0, 1.0])
     # the tail bound needs xi_max > 0, and doubling 0 would never end
     with pytest.raises(MellinError, match="must be positive"):
         invertibility_scan(wedge_np_kernel(math.pi / 2), 1.0, 0.0, xi_max=0.0)
@@ -310,16 +303,14 @@ def test_tail_majorant_decreases_on_fixture_strata():
 
 @pytest.mark.parametrize("c", (1.0, -1.0))
 def test_wedge_window_right_angle(c):
-    rep = admissible_weight_window(wedge_np_kernel(math.pi / 2), c)
-    lo, hi = rep.global_window
+    lo, hi = admissible_weight_window(wedge_np_kernel(math.pi / 2), c)
     assert abs(lo + 2.0 / 3.0) <= 1e-6
     assert abs(hi - 2.0 / 3.0) <= 1e-6
 
 
 @pytest.mark.parametrize("c", (1.0, -1.0))
 def test_wedge_window_hexagon_angle(c):
-    rep = admissible_weight_window(wedge_np_kernel(2.0 * math.pi / 3), c)
-    lo, hi = rep.global_window
+    lo, hi = admissible_weight_window(wedge_np_kernel(2.0 * math.pi / 3), c)
     assert abs(lo + 0.75) <= 1e-6
     assert abs(hi - 0.75) <= 1e-6
 
@@ -327,14 +318,17 @@ def test_wedge_window_hexagon_angle(c):
 def test_wedge_window_reflection_symmetry():
     a = admissible_weight_window(wedge_np_kernel(math.pi / 2), 1.0)
     b = admissible_weight_window(wedge_np_kernel(1.5 * math.pi), 1.0)
-    assert abs(a.global_window[0] - b.global_window[0]) <= 1e-6
-    assert abs(a.global_window[1] - b.global_window[1]) <= 1e-6
+    assert abs(a[0] - b[0]) <= 1e-6
+    assert abs(a[1] - b[1]) <= 1e-6
 
 
 def test_window_contains_helper():
-    rep = admissible_weight_window(wedge_np_kernel(math.pi / 2), 1.0)
+    w = admissible_weight_window(wedge_np_kernel(math.pi / 2), 1.0)
+    rep = WindowReport(1.0, {"wedge": w}, w, (-2.0 / 3.0, 0.5), ())
     assert rep.contains(-0.5, 0.5)
     assert not rep.contains(-0.9, 0.5)
+    assert not WindowReport(0.5, {"wedge": None}, None, (-2.0 / 3.0, 0.5),
+                            ()).contains(-0.1, 0.1)
 
 
 # -- weight lines ----------------------------------------------------------
