@@ -18,7 +18,6 @@ from .geometry import (
 from .groupoid import (
     GroupoidDescriptor,
     MellinOperator,
-    OperatorDescriptor,
     VertexStratum,
     build_groupoid,
     limit_operator,

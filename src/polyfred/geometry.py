@@ -182,10 +182,6 @@ class ConicalDomain:
     def has_cracks(self) -> bool:
         return any(e.crack for e in self.edges.values())
 
-    def boundary_edges(self) -> list[tuple[Edge, bool]]:
-        """Non-crack edges in CCW order with their traversal direction."""
-        return [(self.edges[eid], fwd) for eid, fwd in self.loop]
-
     # -- construction helpers ---------------------------------------------
 
     def _validate_refs(self):
@@ -626,23 +622,14 @@ def unfold(d: ConicalDomain) -> UnfoldedDomain:
 
 # -- desingularized boundary ----------------------------------------------
 
-@dataclass(frozen=True)
-class Collar:
-    uvertex_id: str
-    epsilon: float
-    labels: tuple[URay, ...]         # points of the collar boundary
-
-
 class DesingularizedBoundary:
-    """Disjoint vertex collars glued to the smooth boundary part."""
+    """Smooth boundary part of an unfolded domain.  The vertex collars
+    glued to it sit at ``unfolded.uvertices``, with the cutoff radii
+    ``domain.epsilon`` of their base vertices."""
 
     def __init__(self, u: UnfoldedDomain):
         self.unfolded = u
         self.domain = u.base
-        self.collars: list[Collar] = []
-        for uid, uv in u.uvertices.items():
-            eps = u.base.epsilon[uv.base_vertex_id]
-            self.collars.append(Collar(uid, eps, uv.labels))
         self.smooth_part = list(u.uedges.values())
 
     @property
@@ -651,8 +638,11 @@ class DesingularizedBoundary:
 
 
 def desingularize_boundary(d) -> DesingularizedBoundary:
-    """Collar decomposition of the boundary; cracked input is unfolded first
-    only if already given as an UnfoldedDomain."""
+    """Collar decomposition of the boundary of an unfolded domain.
+
+    An UnfoldedDomain is used as given.  A crack-free ConicalDomain is
+    unfolded here (the identity cover); a cracked one raises DomainError,
+    since it must be unfolded first."""
     if isinstance(d, UnfoldedDomain):
         return DesingularizedBoundary(d)
     if d.has_cracks:

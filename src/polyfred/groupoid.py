@@ -5,15 +5,16 @@ vertex carries a dilation-invariant stratum on (component set)^2 x R+.  For a
 cracked domain the strata come in three families: ordinary vertices, the
 non-crack parts of crack junctions, and the crack covers (one per unit of
 ramification).  The limit operator of c*I + K at a vertex stratum is a matrix
-Mellin convolution operator; the scalar part c is carried separately and a
-constant jump matrix accounts for delta-type coupling between twin crack
-faces, which has no integral-kernel representation.
+Mellin convolution operator read off the edge-ends of the unfolded vertex:
+every non-collinear pair of rays carries a ray-pair kernel, and twin crack
+faces carry a constant jump coupling, which has no integral-kernel
+representation.  The scalar part c is carried separately.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,13 +24,9 @@ from .geometry import (
     UnfoldedDomain,
 )
 
-HOMOGENEITY_RTOL = 1e-10
-HOMOGENEITY_DILATIONS = (0.5, 2.0)
-HOMOGENEITY_BASE_POINTS = 32
-
 
 class StratumError(ValueError):
-    """Inconsistent stratification request or operator data."""
+    """Inconsistent stratification request."""
 
 
 @dataclass(frozen=True)
@@ -94,21 +91,6 @@ def orbit_representatives(G: GroupoidDescriptor):
     for s in G.boundary_strata:
         reps.append((s.vertex_id, s.labels[0]))
     return reps
-
-
-@dataclass
-class OperatorDescriptor:
-    """Operator of the form c*I + K with dilation-homogeneous local kernels.
-
-    ``local_kernels`` maps (vertex id, label_a, label_b) to a two-variable
-    kernel k(r, s) homogeneous of degree -1, the frozen kernel on the pair of
-    edge-ends near the vertex.  Missing pairs are zero.  ``jump`` maps a
-    vertex id to a constant size x size matrix of delta-type couplings (twin
-    crack faces).
-    """
-    c: float
-    local_kernels: dict = field(default_factory=dict)
-    jump: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -176,55 +158,26 @@ def zero_mellin_operator(vertex_id: str, size: int) -> MellinOperator:
                           np.zeros((size, size)))
 
 
-def _check_homogeneity(ker, tag) -> None:
-    # degree -1: k(t*r, t*s) = k(r, s)/t, sampled on a log grid
-    r = np.logspace(-1.5, 1.5, HOMOGENEITY_BASE_POINTS)
-    base = ker(r, np.ones_like(r))
-    scale = np.max(np.abs(base))
-    if scale == 0.0:
-        scale = 1.0
-    for t in HOMOGENEITY_DILATIONS:
-        scaled = ker(t * r, t * np.ones_like(r))
-        err = np.max(np.abs(scaled - base / t)) / scale
-        if err > HOMOGENEITY_RTOL:
-            raise StratumError(
-                f"kernel {tag} not homogeneous of degree -1 "
-                f"(relative error {err:.3e})")
+def limit_operator(u: UnfoldedDomain, uid: str) -> MellinOperator:
+    """Limit operator of c*I + K at the stratum of unfolded vertex uid.
 
-
-def limit_operator(P: OperatorDescriptor, stratum: VertexStratum
-                   ) -> MellinOperator:
-    """Freeze P at a vertex stratum as a matrix Mellin convolution operator.
-
-    Each local two-variable kernel is gated through a numerical homogeneity
-    check and must then be a ray-pair kernel, whose angle and side become
-    the entry of the result.  The scalar part c is not part of the result.
-    Kernels supported away from the vertex contribute nothing, so absent
-    entries mean zero.
+    Entry (i, j) couples edge-end j (the source) to edge-end i (the target)
+    of ``u.uvertices[uid].labels``.  Non-collinear rays carry the ray-pair
+    kernel with angle phi_i - phi_j mod 2*pi and the side of the source;
+    collinear rays carry none.  Twin crack faces couple through the unit
+    jump -1.  The scalar part c is not part of the result.
     """
-    k = stratum.size
-    d = np.zeros((k, k))
-    side = np.zeros((k, k), dtype=int)
-    for i, la in enumerate(stratum.labels):
-        for j, lb in enumerate(stratum.labels):
-            ker = P.local_kernels.get((stratum.vertex_id, la, lb))
-            if ker is None:
-                continue
-            tag = (stratum.vertex_id, i, j)
-            _check_homogeneity(ker, tag)
-            if not isinstance(ker, RayPairKernel):
-                raise StratumError(f"kernel {tag} is not a ray-pair kernel")
-            d[i, j], side[i, j] = ker.d, ker.side
-    delta = P.jump.get(stratum.vertex_id)
-    if delta is None:
-        delta = np.zeros((k, k))
-    else:
-        delta = np.asarray(delta, dtype=float)
-        if delta.shape != (k, k):
-            raise StratumError(
-                f"jump matrix at {stratum.vertex_id} has shape {delta.shape}, "
-                f"expected {(k, k)}")
-    return MellinOperator(stratum.vertex_id, d, side, delta)
+    labels = u.uvertices[uid].labels
+    phi = np.array([r.angle for r in labels])
+    sides = np.array([r.side for r in labels])
+    diff = phi[:, None] - phi[None, :]
+    kernel = np.abs(np.sin(diff)) > 1e-14
+    d = np.where(kernel, np.mod(diff, 2.0 * math.pi), 0.0)
+    side = np.where(kernel, sides[None, :], 0)
+    twins = [u.uedges[r.uedge_id].twin_uid for r in labels]
+    delta = np.where([[t == r.uedge_id for r in labels] for t in twins],
+                     -1.0, 0.0)
+    return MellinOperator(uid, d, side, delta)
 
 
 def brute_force_counts(u: UnfoldedDomain) -> dict:

@@ -1,10 +1,10 @@
 """Double layer operator assembly, weighted norms, and Fredholm verdicts.
 
-This module bridges the geometric and symbolic layers: it freezes the double
-layer (Neumann-Poincare) kernel at each vertex into the local homogeneous
-kernels consumed by the limit-operator machinery, assembles the global
-Nystrom matrix on graded meshes, and cross-checks symbolic verdicts against
-the behavior of the smallest singular value of the weighted discrete
+This module bridges the geometric and symbolic layers: it builds the limit
+operator of the double layer (Neumann-Poincare) operator at every vertex
+stratum and scans it for Fredholm verdicts and weight windows, assembles the
+global Nystrom matrix on graded meshes, and cross-checks symbolic verdicts
+against the behavior of the smallest singular value of the weighted discrete
 operator under mesh refinement.
 """
 
@@ -27,12 +27,7 @@ from .geometry import (
     smoothed_distance,
     unfold,
 )
-from .groupoid import (
-    MellinOperator,
-    OperatorDescriptor,
-    build_groupoid,
-    limit_operator,
-)
+from .groupoid import MellinOperator, limit_operator
 from . import mellin
 from .mellin import admissible_weight_window, invertibility_scan
 
@@ -332,47 +327,16 @@ def weighted_norm(u, mesh: BoundaryMesh, spec: WeightedNormSpec) -> float:
     return math.sqrt(total)
 
 
-# -- operator descriptor of c*I + K ---------------------------------------
-
-def np_operator_descriptor(u: UnfoldedDomain, c: float) -> OperatorDescriptor:
-    """Freeze c*I + double layer into local homogeneous kernels per vertex.
-
-    For every ordered pair of edge-ends at a vertex the kernel is the
-    two-ray formula with the outer normal convention of the source end;
-    collinear pairs vanish identically and are omitted.  Twin crack faces
-    meeting at the vertex additionally carry the unit jump coupling.
-    """
-    kernels = {}
-    jumps = {}
-    for uid, uv in u.uvertices.items():
-        labels = uv.labels
-        k = len(labels)
-        J = np.zeros((k, k))
-        for i, la in enumerate(labels):
-            for j, lb in enumerate(labels):
-                if abs(math.sin(la.angle - lb.angle)) > 1e-14:
-                    kernels[(uid, la, lb)] = mellin.ray_pair_kernel(
-                        la.angle, lb.angle, lb.side)
-                twin = u.uedges[la.uedge_id].twin_uid
-                if twin is not None and twin == lb.uedge_id:
-                    J[i, j] = -1.0
-        if np.any(J):
-            jumps[uid] = J
-    return OperatorDescriptor(c=c, local_kernels=kernels, jump=jumps)
-
-
 # -- Fredholm verdicts -----------------------------------------------------
 
-def limit_operators(d: ConicalDomain, c: float) -> dict[str, MellinOperator]:
+def limit_operators(d: ConicalDomain) -> dict[str, MellinOperator]:
     """Limit operator of c*I + K at every vertex stratum, by vertex id.
 
-    They depend on the domain and c only; the weight enters through the
-    line each one is scanned on.  A domain without vertices has none.
+    They depend on the domain alone: each scan adds c and takes the line
+    from the weight.  A domain without vertices has none.
     """
     u = unfold(d)
-    G = build_groupoid(desingularize_boundary(u))
-    P = np_operator_descriptor(u, c)
-    return {s.vertex_id: limit_operator(P, s) for s in G.boundary_strata}
+    return {uid: limit_operator(u, uid) for uid in u.uvertices}
 
 
 @dataclass(frozen=True)
@@ -410,7 +374,7 @@ def fredholm_verdict(d: ConicalDomain, c: float, a: float,
     line.  Margins up to INCONCLUSIVE_MARGIN are reported, not resolved.
     """
     per_vertex = {vid: invertibility_scan(op, c, a, xi_max=xi_max, tol=tol)
-                  for vid, op in limit_operators(d, c).items()}
+                  for vid, op in limit_operators(d).items()}
     witnesses = tuple(v for v, r in per_vertex.items() if not r.invertible)
     elliptic = c != 0.0
     if not elliptic or witnesses:
@@ -453,7 +417,7 @@ def domain_windows(d: ConicalDomain, c: float,
     the smallest margin there.  It is empty when there are no vertices or
     no global window.
     """
-    ops = limit_operators(d, c)
+    ops = limit_operators(d)
     per_vertex = {vid: admissible_weight_window(op, c, search, tol=tol,
                                                 xi_max=xi_max)
                   for vid, op in ops.items()}

@@ -184,9 +184,9 @@ def test_window_builds_each_limit_operator_once(runner, monkeypatch, name):
     built = Counter()
     build = layerpot.limit_operator
 
-    def counting(P, stratum):
-        built[stratum.vertex_id] += 1
-        return build(P, stratum)
+    def counting(u, uid):
+        built[uid] += 1
+        return build(u, uid)
 
     monkeypatch.setattr(layerpot, "limit_operator", counting)
     res = runner.invoke(main, ["window", domain_path(name), "--c", "1"])

@@ -9,7 +9,6 @@ import polyfred as pf
 from polyfred.geometry import desingularize_boundary, parse_domain, unfold
 from polyfred.groupoid import (
     MellinOperator,
-    OperatorDescriptor,
     StratumError,
     brute_force_counts,
     build_groupoid,
@@ -17,8 +16,7 @@ from polyfred.groupoid import (
     orbit_representatives,
     zero_mellin_operator,
 )
-from polyfred.layerpot import np_operator_descriptor
-from polyfred.mellin import mellin_transform, wedge_np_kernel
+from polyfred.mellin import mellin_transform, ray_pair_kernel, wedge_np_kernel
 
 from conftest import ALL_DOMAINS, domain_path
 
@@ -82,10 +80,7 @@ def test_stratum_lookup(square):
 
 def test_corner_limit_matches_wedge(square):
     """The frozen corner operator of the square equals the right-angle wedge."""
-    u = unfold(square)
-    G = build_groupoid(desingularize_boundary(u))
-    P = np_operator_descriptor(u, 1.0)
-    op = limit_operator(P, G.stratum("a"))
+    op = limit_operator(unfold(square), "a")
     ref = wedge_np_kernel(math.pi / 2)
     for lam in (0.0, 0.5, 2.0 + 0.3j, -1.7 + 0.5j):
         got = mellin_transform(op, lam)
@@ -94,48 +89,43 @@ def test_corner_limit_matches_wedge(square):
 
 
 def test_crack_tip_limit_is_pure_jump(slit_square):
-    u = unfold(slit_square)
-    G = build_groupoid(desingularize_boundary(u))
-    P = np_operator_descriptor(u, 1.0)
-    op = limit_operator(P, G.stratum("t#c0"))
+    op = limit_operator(unfold(slit_square), "t#c0")
     # a straight crack tip has collinear faces: no integral kernel, only the
     # twin jump coupling
     assert not np.any(op.side)
     assert np.array_equal(op.delta, [[0.0, -1.0], [-1.0, 0.0]])
 
 
-def test_homogeneity_gate():
-    stratum = _groupoid("square").stratum("a")
-    bad = OperatorDescriptor(1.0, local_kernels={
-        ("a", stratum.labels[0], stratum.labels[1]):
-            lambda r, s: 1.0 / (r + s + 1.0)})
-    with pytest.raises(StratumError):
-        limit_operator(bad, stratum)
+def _pairwise_limit_operator(u, uid):
+    """(d, side, delta) built entry by entry: a ray-pair kernel for every
+    non-collinear ordered pair of edge-ends, the unit jump between twin
+    crack faces."""
+    labels = u.uvertices[uid].labels
+    k = len(labels)
+    d = np.zeros((k, k))
+    side = np.zeros((k, k), dtype=int)
+    delta = np.zeros((k, k))
+    for i, la in enumerate(labels):
+        for j, lb in enumerate(labels):
+            if abs(math.sin(la.angle - lb.angle)) > 1e-14:
+                ker = ray_pair_kernel(la.angle, lb.angle, lb.side)
+                d[i, j], side[i, j] = ker.d, ker.side
+            if u.uedges[la.uedge_id].twin_uid == lb.uedge_id:
+                delta[i, j] = -1.0
+    return d, side, delta
 
 
-def test_rejects_kernel_that_is_not_a_ray_pair():
-    # homogeneous of degree -1, so it passes the homogeneity gate, but the
-    # limit operator only holds ray-pair kernels
-    stratum = _groupoid("square").stratum("a")
-    other = OperatorDescriptor(1.0, local_kernels={
-        ("a", stratum.labels[0], stratum.labels[1]):
-            lambda r, s: r / (r * r + s * s)})
-    with pytest.raises(StratumError, match="not a ray-pair kernel"):
-        limit_operator(other, stratum)
-
-
-def test_jump_shape_gate():
-    stratum = _groupoid("square").stratum("a")
-    bad = OperatorDescriptor(1.0, jump={"a": np.zeros((3, 3))})
-    with pytest.raises(StratumError):
-        limit_operator(bad, stratum)
-
-
-def test_missing_kernels_mean_zero():
-    stratum = _groupoid("square").stratum("a")
-    P = OperatorDescriptor(1.0)
-    op = limit_operator(P, stratum)
-    assert op.is_zero
+@pytest.mark.parametrize("name", ALL_DOMAINS)
+def test_limit_operator_matches_pairwise_reference(name):
+    u = unfold(parse_domain(domain_path(name)))
+    for uid in u.uvertices:
+        op = limit_operator(u, uid)
+        assert op.vertex_id == uid
+        for got, want in zip((op.d, op.side, op.delta),
+                             _pairwise_limit_operator(u, uid)):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+            assert got.tobytes() == want.tobytes()     # signed zeros too
 
 
 def test_zero_operator():

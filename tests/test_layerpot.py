@@ -267,6 +267,15 @@ def test_domain_windows_square(square):
                         rep.reference_window[1] - 1e-3)
 
 
+@pytest.mark.parametrize("name,c", (("lshape", 0.75), ("hexagon", 1.0),
+                                    ("tcrack_square", 0.75)))
+def test_global_window_is_symmetric(name, c):
+    # every scan is even in the weight, so the window is symmetric about 0
+    lo, hi = lp.domain_windows(pf.parse_domain(domain_path(name)),
+                               c).global_window
+    assert abs(lo + hi) <= 1e-12
+
+
 @pytest.mark.parametrize("c", (1.0, -1.0, 0.75))
 @pytest.mark.parametrize("name", ("square", "lshape", "hexagon",
                                   "slit_square"))

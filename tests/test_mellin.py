@@ -91,8 +91,8 @@ def test_closed_form_against_mpmath(theta, lam):
 def _stratum_operators():
     """(fixture, limit operator) for every vertex stratum of every fixture."""
     return [(name, op) for name in ALL_DOMAINS
-            for op in limit_operators(parse_domain(domain_path(name)),
-                                      1.0).values()]
+            for op in limit_operators(
+                parse_domain(domain_path(name))).values()]
 
 
 def _ray_pair(d, side):
@@ -275,6 +275,19 @@ def test_scan_pure_jump_tip():
         assert not res.invertible
     res = invertibility_scan(tip, 3.0, 0.0)
     assert res.invertible
+
+
+@pytest.mark.parametrize("name", ALL_DOMAINS)
+def test_scan_is_even_in_the_weight(name):
+    # the symbol is even in lam, so the line Im(lam) = +a carries the values
+    # of Im(lam) = -a mirrored in xi, and both scans agree bit for bit
+    ops = limit_operators(parse_domain(domain_path(name))).values()
+    for op in ops:
+        for c in (1.0, -1.0, 0.75):
+            for a in (0.1, 0.55):
+                r, s = (invertibility_scan(op, c, w) for w in (a, -a))
+                assert (r.margin, r.witness_xi, r.invertible) == (
+                    s.margin, s.witness_xi, s.invertible), (op.vertex_id, c, a)
 
 
 @settings(max_examples=200, deadline=None)
