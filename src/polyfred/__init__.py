@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 
 from .geometry import (
     ConicalDomain,
-    DesingularizedBoundary,
     DomainError,
     UnfoldedDomain,
     desingularize_boundary,

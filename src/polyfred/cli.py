@@ -284,13 +284,12 @@ def solve(domain_file, g_expr, a, mesh_n, mesh_q, mesh_nc, c, out):
     try:
         d = parse_domain(domain_file)
         g = parse_boundary_data(g_expr)
-        mesh = layerpot.graded_mesh(
-            layerpot.desingularize_boundary(layerpot.unfold(d)),
-            n=mesh_n, q=mesh_q, n_c=mesh_nc)
+        mesh = layerpot.graded_mesh(layerpot.unfold(d), n=mesh_n, q=mesh_q,
+                                    n_c=mesh_nc)
         sol = layerpot.solve_dirichlet(d, g, c=c, a=a, mesh=mesh)
     except (DomainError, MellinError, ExprError, ValueError, OSError) as exc:
         _fail(str(exc))
-    pts, errs = _interior_probe(d, sol, g)
+    pts, errs = _interior_probe(sol, g)
     report = {
         "config": _config_echo(domain=domain_file, g=g_expr, c=c, a=a,
                                mesh_n=mesh_n, mesh_q=mesh_q, mesh_nc=mesh_nc),
@@ -305,7 +304,7 @@ def solve(domain_file, g_expr, a, mesh_n, mesh_q, mesh_nc, c, out):
     sys.exit(0)
 
 
-def _interior_probe(d, sol, g, margin=0.2):
+def _interior_probe(sol, g, margin=0.2):
     """Evaluate the solution on a grid of interior points at distance
     >= margin from the boundary and compare against the boundary data
     extended harmonically (valid when g is the trace of the expression)."""
@@ -322,7 +321,7 @@ def _interior_probe(d, sol, g, margin=0.2):
             dmin = float(np.min(np.linalg.norm(sol.mesh.points - p, axis=1)))
             if dmin < margin:
                 continue
-            if not _inside(d, p, sol.mesh):
+            if not _inside(p, sol.mesh):
                 continue
             val = sol(p)
             ref = g(x, y)
@@ -331,7 +330,7 @@ def _interior_probe(d, sol, g, margin=0.2):
     return pts, errs
 
 
-def _inside(d, p, mesh) -> bool:
+def _inside(p, mesh) -> bool:
     # winding number: the double layer of the constant density is exactly
     # 2 inside the loop and 0 outside
     val = float(layerpot.panel_potentials(p, mesh).sum())

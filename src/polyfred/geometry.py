@@ -4,10 +4,10 @@ A domain is described by vertices and edges (straight segments or circular
 arcs).  Edges marked ``crack`` are slits traversed on both sides.  From this
 raw description we derive, per vertex, the cone base (the angular sectors the
 domain occupies around the vertex), the crack classification, and the
-ramification number.  Cracked domains can be unfolded into a crack-free
-generalized domain whose boundary covers each crack twice, and every domain
-can be desingularized into a collection of vertex collars glued to the smooth
-boundary part.
+ramification number.  Unfolding turns a cracked domain into a crack-free
+generalized domain whose boundary covers each crack twice and whose vertices
+are split into one cover vertex per stratum; the unfolded domain is what
+boundary meshes and vertex strata are built from.
 """
 
 from __future__ import annotations
@@ -128,8 +128,8 @@ class Sector:
     """
     theta_start: float
     theta_end: float
-    ray_start: Ray
-    ray_end: Ray
+    ray_start: Ray | URay            # URay on the unfolded domain
+    ray_end: Ray | URay
 
     @property
     def measure(self) -> float:
@@ -482,24 +482,11 @@ class URay:
 
 
 @dataclass(frozen=True)
-class USector:
-    theta_start: float
-    theta_end: float
-    ray_start: URay
-    ray_end: URay
-
-    @property
-    def measure(self) -> float:
-        return self.theta_end - self.theta_start
-
-
-@dataclass(frozen=True)
 class UVertex:
     uid: str
     base_vertex_id: str
     family: str                      # "noncrack" | "noncrack_part" | "crack_cover"
-    sectors: tuple[USector, ...]
-    position: tuple[float, float]
+    sectors: tuple[Sector, ...]      # bounded by URay edge-ends
 
     @property
     def labels(self) -> tuple[URay, ...]:
@@ -512,10 +499,7 @@ class UEdge:
     uid: str
     base_edge_id: str
     forward: bool                    # traversal direction relative to the base edge
-    crack_face: bool
     twin_uid: str | None
-    uv_from: str | None
-    uv_to: str | None
 
 
 class UnfoldedDomain:
@@ -525,7 +509,6 @@ class UnfoldedDomain:
         self.base = base
         self.uvertices: dict[str, UVertex] = {}
         self.uedges: dict[str, UEdge] = {}
-        self.cover_map: dict[str, str] = {}
         self._build()
 
     # total ramification alpha and the count m' of conical crack points
@@ -546,45 +529,33 @@ class UnfoldedDomain:
         # edges: boundary edges as-is (oriented along the CCW loop),
         # crack edges as twin face pairs
         for eid, fwd in base.loop:
-            e = base.edges[eid]
-            uid = f"{eid}"
-            a = e.v_from if fwd else e.v_to
-            b = e.v_to if fwd else e.v_from
-            self.uedges[uid] = UEdge(uid, eid, fwd, False, None, a, b)
-            self.cover_map[uid] = eid
+            self.uedges[eid] = UEdge(eid, eid, fwd, None)
         for e in base.crack_edges:
             u0, u1 = f"{e.id}+", f"{e.id}-"
-            self.uedges[u0] = UEdge(u0, e.id, True, True, u1, e.v_from, e.v_to)
-            self.uedges[u1] = UEdge(u1, e.id, False, True, u0, e.v_to, e.v_from)
-            self.cover_map[u0] = e.id
-            self.cover_map[u1] = e.id
+            self.uedges[u0] = UEdge(u0, e.id, True, u1)
+            self.uedges[u1] = UEdge(u1, e.id, False, u0)
 
         for vid, info in base.vertex_info.items():
-            pos = (base.vertex(vid).x, base.vertex(vid).y)
             if info.kind == VertexKind.CONICAL:
-                uid = vid
                 usect = tuple(self._lift_sector(s) for s in info.sectors)
-                self.uvertices[uid] = UVertex(uid, vid, "noncrack", usect, pos)
-                self.cover_map[uid] = vid
+                self.uvertices[vid] = UVertex(vid, vid, "noncrack", usect)
                 continue
             # singular crack point: one cover vertex per crack-part sector,
             # plus one vertex for the non-crack part when it is nonempty
             for j, idx in enumerate(info.crack_sector_idx):
                 uid = f"{vid}#c{j}"
                 usect = (self._lift_sector(info.sectors[idx]),)
-                self.uvertices[uid] = UVertex(uid, vid, "crack_cover", usect, pos)
-                self.cover_map[uid] = vid
+                self.uvertices[uid] = UVertex(uid, vid, "crack_cover", usect)
             if info.kind == VertexKind.CONICAL_CRACK and info.noncrack_sector_idx:
                 uid = f"{vid}#0"
                 usect = tuple(self._lift_sector(info.sectors[i])
                               for i in info.noncrack_sector_idx)
-                self.uvertices[uid] = UVertex(uid, vid, "noncrack_part", usect, pos)
-                self.cover_map[uid] = vid
+                self.uvertices[uid] = UVertex(uid, vid, "noncrack_part", usect)
 
-    def _lift_sector(self, s: Sector) -> USector:
+    def _lift_sector(self, s: Sector) -> Sector:
         r0 = self._lift_ray(s.ray_start, +1)
         r1 = self._lift_ray(s.ray_end, -1)
-        return USector(s.theta_start, s.theta_end, r0, r1)
+        return Sector(s.theta_start, s.theta_end, r0, r1)
 
     def _lift_ray(self, ray: Ray, side: int) -> URay:
         if not ray.crack:
@@ -620,34 +591,17 @@ def unfold(d: ConicalDomain) -> UnfoldedDomain:
     return UnfoldedDomain(d)
 
 
-# -- desingularized boundary ----------------------------------------------
+def desingularize_boundary(d) -> UnfoldedDomain:
+    """The unfolded domain whose boundary meshes and strata are built.
 
-class DesingularizedBoundary:
-    """Smooth boundary part of an unfolded domain.  The vertex collars
-    glued to it sit at ``unfolded.uvertices``, with the cutoff radii
-    ``domain.epsilon`` of their base vertices."""
-
-    def __init__(self, u: UnfoldedDomain):
-        self.unfolded = u
-        self.domain = u.base
-        self.smooth_part = list(u.uedges.values())
-
-    @property
-    def from_cracked(self) -> bool:
-        return self.unfolded.has_cracks
-
-
-def desingularize_boundary(d) -> DesingularizedBoundary:
-    """Collar decomposition of the boundary of an unfolded domain.
-
-    An UnfoldedDomain is used as given.  A crack-free ConicalDomain is
+    An UnfoldedDomain is returned as given.  A crack-free ConicalDomain is
     unfolded here (the identity cover); a cracked one raises DomainError,
     since it must be unfolded first."""
     if isinstance(d, UnfoldedDomain):
-        return DesingularizedBoundary(d)
+        return d
     if d.has_cracks:
         raise DomainError("unresolved cracks: unfold the domain first")
-    return DesingularizedBoundary(UnfoldedDomain(d))
+    return UnfoldedDomain(d)
 
 
 # -- smoothed distance to the vertex set ----------------------------------

@@ -18,15 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (
-    DesingularizedBoundary,
-    URay,
-    UnfoldedDomain,
-)
-
-
-class StratumError(ValueError):
-    """Inconsistent stratification request."""
+from .geometry import URay, UnfoldedDomain
 
 
 @dataclass(frozen=True)
@@ -48,7 +40,7 @@ class VertexStratum:
 
 @dataclass(frozen=True)
 class GroupoidDescriptor:
-    units: DesingularizedBoundary
+    units: UnfoldedDomain
     interior_stratum: str            # label of the dense pair-groupoid stratum
     boundary_strata: tuple[VertexStratum, ...]
     kind: str                        # "no_crack" | "crack"
@@ -64,25 +56,13 @@ class GroupoidDescriptor:
         return sum(s.size for s in self.boundary_strata)
 
 
-def build_groupoid(M: DesingularizedBoundary, kind: str | None = None
-                   ) -> GroupoidDescriptor:
-    """Enumerate the strata of the boundary structure underlying M.
-
-    kind "no_crack" requires crack-free provenance; "crack" requires that M
-    was built from an unfolded cracked domain.  With kind None the right one
-    is inferred.
-    """
-    cracked = M.from_cracked
-    if kind is None:
-        kind = "crack" if cracked else "no_crack"
-    if kind == "no_crack" and cracked:
-        raise StratumError("crack-free structure requested on cracked input")
-    if kind == "crack" and not cracked:
-        raise StratumError("crack structure requested on crack-free input")
-
+def build_groupoid(u: UnfoldedDomain) -> GroupoidDescriptor:
+    """Enumerate the strata of the boundary structure of u: one per
+    unfolded vertex, of kind "crack" when u covers a cracked domain."""
     strata = tuple(VertexStratum(uid, uv.labels, uv.family)
-                   for uid, uv in M.unfolded.uvertices.items())
-    return GroupoidDescriptor(M, "interior", strata, kind)
+                   for uid, uv in u.uvertices.items())
+    return GroupoidDescriptor(u, "interior", strata,
+                              "crack" if u.has_cracks else "no_crack")
 
 
 def orbit_representatives(G: GroupoidDescriptor):

@@ -21,9 +21,7 @@ from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 from . import geometry
 from .geometry import (
     ConicalDomain,
-    DesingularizedBoundary,
     UnfoldedDomain,
-    desingularize_boundary,
     smoothed_distance,
     unfold,
 )
@@ -132,7 +130,6 @@ class BoundaryMesh:
     panel_a: np.ndarray              # (N, 2) panel start, traversal order
     panel_b: np.ndarray              # (N, 2) panel end, traversal order
     slices: dict                     # uedge uid -> slice of node indices
-    params: dict                     # n, q, n_c used to build the mesh
 
     @property
     def size(self) -> int:
@@ -159,24 +156,25 @@ def _graded_breaks(n: int, q: float, n_c: int) -> np.ndarray:
     return np.concatenate([half, right[1:] if n % 2 == 0 else right])
 
 
-def graded_mesh(M: DesingularizedBoundary, n: int = 16, q: float = 0.5,
+def graded_mesh(u: UnfoldedDomain, n: int = 16, q: float = 0.5,
                 n_c: int = 8) -> BoundaryMesh:
-    """Midpoint-rule mesh, geometrically refined toward every vertex collar.
+    """Midpoint-rule mesh of the unfolded boundary of u, geometrically
+    refined toward every vertex.
 
-    Each edge with vertex endpoints gets n uniform middle subintervals plus
-    n_c geometric ones per end (ratio q), one node per subinterval.  A
-    closed vertex-free arc is meshed uniformly (periodic trapezoid rule).
+    Each unfolded edge (each face of a crack) with vertex endpoints gets n
+    uniform middle subintervals plus n_c geometric ones per end (ratio q),
+    one node per subinterval, in the traversal order of the unfolded edge.
+    A closed vertex-free arc is meshed uniformly (periodic trapezoid rule).
     """
     if n < 4 or not 0.0 < q < 1.0 or n_c < 2:
         raise ValueError("need n >= 4, q in (0,1), n_c >= 2")
-    d = M.domain
+    d = u.base
     base_ids = list(d.edges)
     pts, nus, ws, curs, rs, bidx, stra = [], [], [], [], [], [], []
     pas, pbs = [], []
     slices = {}
     pos = 0
-    order = []
-    for ue in M.smooth_part:
+    for ue in u.uedges.values():
         e = d.edges[ue.base_edge_id]
         if e.length(d) <= 0:
             raise ValueError(f"degenerate edge {e.id}")
@@ -213,16 +211,13 @@ def graded_mesh(M: DesingularizedBoundary, n: int = 16, q: float = 0.5,
         bidx.append(np.full(m, base_ids.index(e.id)))
         stra.append(np.full(m, e.kind == "line"))
         slices[ue.uid] = slice(pos, pos + m)
-        order.append(ue)
         pos += m
 
-    N = pos
-    twin = np.full(N, -1, dtype=int)
-    for ue in order:
+    twin = np.full(pos, -1, dtype=int)
+    for ue in u.uedges.values():
         if ue.twin_uid is None:
             continue
         sl, tl = slices[ue.uid], slices[ue.twin_uid]
-        m = sl.stop - sl.start
         # twin faces are meshed with mirrored parameters, so node j on one
         # face sits at the same point as node m-1-j on the other
         twin[np.arange(sl.start, sl.stop)] = np.arange(tl.stop - 1,
@@ -231,13 +226,12 @@ def graded_mesh(M: DesingularizedBoundary, n: int = 16, q: float = 0.5,
         np.vstack(pts), np.vstack(nus), np.concatenate(ws),
         np.concatenate(curs), np.concatenate(rs),
         np.concatenate(bidx).astype(int), np.concatenate(stra).astype(bool),
-        twin, np.vstack(pas), np.vstack(pbs), slices,
-        {"n": n, "q": q, "n_c": n_c})
+        twin, np.vstack(pas), np.vstack(pbs), slices)
 
 
 def _mesh_for(d, n: int, q: float, n_c: int) -> BoundaryMesh:
-    u = d if isinstance(d, UnfoldedDomain) else unfold(d)
-    return graded_mesh(desingularize_boundary(u), n, q, n_c)
+    return graded_mesh(d if isinstance(d, UnfoldedDomain) else unfold(d),
+                       n, q, n_c)
 
 
 # -- Nystrom assembly ------------------------------------------------------
@@ -415,19 +409,23 @@ def domain_windows(d: ConicalDomain, c: float,
     from 1e-3 inside the global window (clipped to the search range); each
     row holds the weight and the margin and witness xi of the stratum with
     the smallest margin there.  It is empty when there are no vertices or
-    no global window.
+    no global window.  The search range (a_min, a_max) must be nonempty,
+    a_min < a_max; otherwise ValueError is raised before any scan.
     """
+    a_min, a_max = search
+    if not a_min < a_max:
+        raise ValueError(f"empty weight search range [{a_min}, {a_max}]: "
+                         "a_min must be below a_max")
     ops = limit_operators(d)
     per_vertex = {vid: admissible_weight_window(op, c, search, tol=tol,
                                                 xi_max=xi_max)
                   for vid, op in ops.items()}
     ends = list(per_vertex.values())
-    lo = max([min(search)] + [w[0] for w in ends if w])
-    hi = min([max(search)] + [w[1] for w in ends if w])
+    lo = max([a_min] + [w[0] for w in ends if w])
+    hi = min([a_max] + [w[1] for w in ends if w])
     window = (lo, hi) if all(ends) and lo < hi else None
     curve = []
     if window and ops:
-        a_min, a_max = search
         for a in np.linspace(max(a_min, lo + 1e-3), min(a_max, hi - 1e-3), 21):
             worst = min((invertibility_scan(op, c, float(a), xi_max=xi_max,
                                             tol=tol) for op in ops.values()),

@@ -202,7 +202,6 @@ def tail_majorant(op: MellinOperator, xi: float) -> float:
 @dataclass(frozen=True)
 class LineSamples:
     xi: np.ndarray
-    matrices: np.ndarray             # (len(xi), k, k)
     sigma_min: np.ndarray
 
 
@@ -214,15 +213,10 @@ def _base_grid(xi_max: float) -> np.ndarray:
     return np.unique(np.concatenate([lo, hi]))
 
 
-def _sigma_min(mats: np.ndarray) -> np.ndarray:
-    return np.linalg.svd(mats, compute_uv=False)[..., -1]
-
-
 def symbol_on_line(op: MellinOperator, c: float, a: float,
                    xi_grid) -> LineSamples:
-    """Sampled matrices c*I + K(xi + i*gamma(a)) on the line of the weight a
-    at xi_grid, with refinement near the minima of the smallest singular
-    value.
+    """Smallest singular value of c*I + K(xi + i*gamma(a)) on the line of
+    the weight a at xi_grid, with refinement near its minima.
 
     Kernels here are real, so the symbol at -xi is the conjugate of the
     symbol at +xi and the scan covers xi >= 0 without loss.
@@ -231,9 +225,14 @@ def symbol_on_line(op: MellinOperator, c: float, a: float,
     lo, hi = validity_strip(op)
     if not lo < gamma < hi:
         raise MellinError(f"gamma = {gamma} outside validity strip ({lo}, {hi})")
+    eye = c * np.eye(op.size)[None]
+
+    def sigma_min(xs):
+        mats = eye + _line_samples(op, gamma, xs)
+        return np.linalg.svd(mats, compute_uv=False)[..., -1]
+
     xi = np.asarray(xi_grid, dtype=float)
-    mats = c * np.eye(op.size)[None] + _line_samples(op, gamma, xi)
-    sig = _sigma_min(mats)
+    sig = sigma_min(xi)
     # three rounds of local refinement around the current minimum
     for _ in range(3):
         i = int(np.argmin(sig))
@@ -242,14 +241,11 @@ def symbol_on_line(op: MellinOperator, c: float, a: float,
         if b - a < 1e-12:
             break
         fine = np.linspace(a, b, 21)
-        fmats = c * np.eye(op.size)[None] + _line_samples(op, gamma, fine)
-        fsig = _sigma_min(fmats)
         xi = np.concatenate([xi, fine])
-        mats = np.concatenate([mats, fmats])
-        sig = np.concatenate([sig, fsig])
+        sig = np.concatenate([sig, sigma_min(fine)])
         order = np.argsort(xi)
-        xi, mats, sig = xi[order], mats[order], sig[order]
-    return LineSamples(xi, mats, sig)
+        xi, sig = xi[order], sig[order]
+    return LineSamples(xi, sig)
 
 
 @dataclass(frozen=True)
@@ -268,10 +264,13 @@ def invertibility_scan(op: MellinOperator, c: float, a: float,
     The verdict combines the sampled minimum over [-xi_max, xi_max] with an
     explicit tail bound: beyond xi_max the kernel part is majorized by
     ``tail_majorant``, so invertibility there follows from the constant part
-    alone.  A failing tail bound doubles xi_max up to a cap.
+    alone.  A failing tail bound doubles xi_max up to a cap.  tol must be
+    a number >= 0 and xi_max a finite positive number.
     """
-    if not xi_max > 0.0:
-        raise MellinError(f"xi_max = {xi_max} must be positive")
+    if not 0.0 < xi_max < math.inf:
+        raise MellinError(f"xi_max = {xi_max} must be positive and finite")
+    if not tol >= 0.0:
+        raise MellinError(f"tol = {tol} must be a number >= 0")
     samples = symbol_on_line(op, c, a, _base_grid(xi_max))
     i = int(np.argmin(samples.sigma_min))
     margin = float(samples.sigma_min[i])
@@ -367,7 +366,7 @@ def admissible_weight_window(op: MellinOperator, c: float,
     degeneracy away from the imaginary axis).
     """
     lo_s, hi_s = validity_strip(op)
-    pad = max(2e-2, 0.0 if hi_s - lo_s > 1.0 else 0.1 * (hi_s - lo_s))
+    pad = 2e-2
     gs = sorted(min(max(line_offset(a), lo_s + pad), hi_s - pad)
                 for a in search)
     g_lo, g_hi = gs

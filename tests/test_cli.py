@@ -89,6 +89,15 @@ def test_analyze_error_exit_three(runner, tmp_path):
     # weight far outside the symbol validity strip
     res = runner.invoke(main, ["analyze", domain_path("square"), "--a", "1.5"])
     assert res.exit_code == 3
+    # a NaN or negative tolerance and an infinite scan range; at the default
+    # tolerance the slit square answers "not Fredholm"
+    for cmd, name, opts in [("analyze", "slit_square", ["--tol", "nan"]),
+                            ("analyze", "slit_square", ["--tol", "-1"]),
+                            ("window", "slit_square", ["--tol", "nan"]),
+                            ("analyze", "square", ["--xi-max", "inf"])]:
+        res = runner.invoke(main, [cmd, domain_path(name), *opts])
+        assert res.exit_code == 3, (cmd, name, opts)
+        assert opts[0][2:].replace("-", "_") in res.output
 
 
 # -- window ----------------------------------------------------------------
@@ -103,6 +112,16 @@ def test_window_square(runner):
     assert abs(hi - 2.0 / 3.0) <= 1e-6
     assert rep["reference_window"][1] == 0.5
     assert rep["margin_curve"][0] == ["a", "margin", "witness_xi"]
+
+
+@pytest.mark.parametrize("name", ["square", "circle"])
+@pytest.mark.parametrize("a_min,a_max", [("1.2", "-1.2"), ("0.4", "0.4")])
+def test_window_rejects_empty_search_range(runner, name, a_min, a_max):
+    res = runner.invoke(main, ["window", domain_path(name),
+                               "--a-min", a_min, "--a-max", a_max])
+    assert res.exit_code == 3
+    assert "a_min must be below a_max" in res.output
+    assert res.stdout == ""
 
 
 # Vertices with no admissible weight at all: crack tips at c = +-1, where

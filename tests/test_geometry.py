@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 import polyfred as pf
 from polyfred.geometry import (
     DomainError,
+    UnfoldedDomain,
     VertexKind,
+    desingularize_boundary,
     interior_angles,
     parse_domain,
     smoothed_distance,
@@ -222,10 +224,16 @@ def test_ramification_totals(name, alpha, m_prime):
     assert u.m_prime == m_prime
 
 
-def test_cover_map_projects_to_base(slit_square):
+def test_desingularize_boundary_crack_gate(square, slit_square):
+    # an unfolded domain is used as given, a crack-free one is unfolded,
+    # and a cracked one must be unfolded first
     u = unfold(slit_square)
-    for uid, uv in u.uvertices.items():
-        assert u.cover_map[uid] == uv.base_vertex_id
+    assert desingularize_boundary(u) is u
+    m = desingularize_boundary(square)
+    assert isinstance(m, UnfoldedDomain) and m.base is square
+    assert list(m.uvertices) == list(unfold(square).uvertices)
+    with pytest.raises(DomainError, match="unfold"):
+        desingularize_boundary(slit_square)
 
 
 # -- smoothed distance -----------------------------------------------------

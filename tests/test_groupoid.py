@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 import polyfred as pf
-from polyfred.geometry import desingularize_boundary, parse_domain, unfold
+from polyfred.geometry import parse_domain, unfold
 from polyfred.groupoid import (
     MellinOperator,
-    StratumError,
     brute_force_counts,
     build_groupoid,
     limit_operator,
@@ -22,8 +21,7 @@ from conftest import ALL_DOMAINS, domain_path
 
 
 def _groupoid(name):
-    return build_groupoid(desingularize_boundary(
-        unfold(parse_domain(domain_path(name)))))
+    return build_groupoid(unfold(parse_domain(domain_path(name))))
 
 
 # -- stratum enumeration ---------------------------------------------------
@@ -32,7 +30,7 @@ def _groupoid(name):
 def test_strata_match_brute_force(name):
     d = parse_domain(domain_path(name))
     u = unfold(d)
-    G = build_groupoid(desingularize_boundary(u))
+    G = build_groupoid(u)
     bc = brute_force_counts(u)
     sizes = {}
     for s in G.boundary_strata:
@@ -51,21 +49,13 @@ def test_orbit_representative_count(name):
     assert reps[0][0] == "interior"
 
 
-def test_stratum_families(slit_square):
-    G = build_groupoid(desingularize_boundary(unfold(slit_square)))
+def test_stratum_families(square, slit_square):
+    G = build_groupoid(unfold(slit_square))
     families = {s.vertex_id: s.family for s in G.boundary_strata}
     assert families["a"] == "noncrack"
     assert families["p#c0"] == families["t#c0"] == "crack_cover"
     assert G.kind == "crack"
-
-
-def test_kind_mismatch_raises(square, slit_square):
-    M_plain = desingularize_boundary(unfold(square))
-    M_crack = desingularize_boundary(unfold(slit_square))
-    with pytest.raises(StratumError):
-        build_groupoid(M_plain, kind="crack")
-    with pytest.raises(StratumError):
-        build_groupoid(M_crack, kind="no_crack")
+    assert build_groupoid(unfold(square)).kind == "no_crack"
 
 
 def test_stratum_lookup(square):

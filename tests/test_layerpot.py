@@ -104,7 +104,7 @@ def test_graded_mesh_counts(square):
 
 
 def test_graded_mesh_rejects_bad_params(square):
-    M = pf.desingularize_boundary(pf.unfold(square))
+    M = pf.unfold(square)
     with pytest.raises(ValueError):
         graded_mesh(M, n=2)
     with pytest.raises(ValueError):

@@ -206,9 +206,18 @@ def test_validity_strip(theta):
 def test_symbol_guard_outside_strip():
     with pytest.raises(MellinError):
         symbol_on_line(wedge_np_kernel(math.pi / 2), 1.0, 1.5, [0.0, 1.0])
-    # the tail bound needs xi_max > 0, and doubling 0 would never end
-    with pytest.raises(MellinError, match="must be positive"):
-        invertibility_scan(wedge_np_kernel(math.pi / 2), 1.0, 0.0, xi_max=0.0)
+    # the tail bound needs xi_max > 0, and doubling 0 would never end;
+    # an infinite xi_max has no finite scan grid
+    op = wedge_np_kernel(math.pi / 2)
+    for xi_max in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(MellinError, match="xi_max"):
+            invertibility_scan(op, 1.0, 0.0, xi_max=xi_max)
+    # a NaN tolerance compares false with every margin, a negative one
+    # accepts nothing as singular
+    for tol in (math.nan, -1.0, -math.inf):
+        with pytest.raises(MellinError, match="tol"):
+            invertibility_scan(op, 1.0, 0.0, tol=tol)
+    assert invertibility_scan(op, 1.0, 0.0, tol=0.0).invertible
 
 
 def test_line_samples_match_adaptive_quadrature():
