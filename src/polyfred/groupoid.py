@@ -40,8 +40,6 @@ class VertexStratum:
 
 @dataclass(frozen=True)
 class GroupoidDescriptor:
-    units: UnfoldedDomain
-    interior_stratum: str            # label of the dense pair-groupoid stratum
     boundary_strata: tuple[VertexStratum, ...]
     kind: str                        # "no_crack" | "crack"
 
@@ -61,13 +59,12 @@ def build_groupoid(u: UnfoldedDomain) -> GroupoidDescriptor:
     unfolded vertex, of kind "crack" when u covers a cracked domain."""
     strata = tuple(VertexStratum(uid, uv.labels, uv.family)
                    for uid, uv in u.uvertices.items())
-    return GroupoidDescriptor(u, "interior", strata,
-                              "crack" if u.has_cracks else "no_crack")
+    return GroupoidDescriptor(strata, "crack" if u.has_cracks else "no_crack")
 
 
 def orbit_representatives(G: GroupoidDescriptor):
     """One representative unit per stratum: each vertex plus the interior."""
-    reps = [("interior", G.interior_stratum)]
+    reps = [("interior", "interior")]
     for s in G.boundary_strata:
         reps.append((s.vertex_id, s.labels[0]))
     return reps

@@ -254,14 +254,42 @@ def panel_potentials(targets, mesh: BoundaryMesh) -> np.ndarray:
     return np.nan_to_num(ang / math.pi)
 
 
+def _weighted_kernel(targets: np.ndarray, mesh: BoundaryMesh) -> np.ndarray:
+    """k(x_i, y_j) w_j for targets x_i and the mesh nodes y_j.
+
+    The x and y coordinate differences are separate (M, N) arrays updated
+    in place, so at most three such arrays are live.  A coincident pair
+    (r = 0) gets 0.
+    """
+    tx, ty = targets[:, 0], targets[:, 1]
+    px, py = mesh.points[:, 0], mesh.points[:, 1]
+    dx = np.subtract.outer(tx, px)
+    num = dx * mesh.normals[:, 0]
+    r2 = dx
+    r2 *= dx
+    # dy is formed twice, once per product: a copy kept for the second
+    # product would be a fourth (M, N) array
+    dy = np.subtract.outer(ty, py)
+    dy *= mesh.normals[:, 1]
+    num += dy
+    np.subtract.outer(ty, py, out=dy)
+    dy *= dy
+    r2 += dy
+    degenerate = r2 == 0.0
+    r2[degenerate] = 1.0
+    r2 *= math.pi
+    num /= r2
+    # -(num / (pi r2)) w_j: negating the weights instead is exact
+    num *= -mesh.weights
+    num[degenerate] = 0.0
+    return num
+
+
 def double_layer_potential(targets, mesh: BoundaryMesh,
                            density: np.ndarray) -> np.ndarray:
     """Quadrature of the double layer potential of a nodal density."""
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    diff = targets[:, None, :] - mesh.points[None, :, :]
-    r2 = np.einsum("ijk,ijk->ij", diff, diff)
-    ker = -np.einsum("ijk,jk->ij", diff, mesh.normals) / (math.pi * r2)
-    return (ker * mesh.weights[None, :]) @ np.asarray(density, dtype=float)
+    return _weighted_kernel(targets, mesh) @ np.asarray(density, dtype=float)
 
 
 def assemble_np(d, mesh: BoundaryMesh) -> np.ndarray:
@@ -272,17 +300,12 @@ def assemble_np(d, mesh: BoundaryMesh) -> np.ndarray:
     identically, the diagonal uses the smooth curvature limit, and twin
     crack sheets at coincident points carry the unit jump coupling.
     """
-    diff = mesh.points[:, None, :] - mesh.points[None, :, :]
-    r2 = np.einsum("ijk,ijk->ij", diff, diff)
-    idx = np.arange(mesh.size)
-    same = mesh.base_index[:, None] == mesh.base_index[None, :]
-    degenerate = r2 == 0.0
-    r2[degenerate] = 1.0
-    A = -np.einsum("ijk,jk->ij", diff, mesh.normals) / (math.pi * r2)
-    A *= mesh.weights[None, :]
-    A[same & mesh.straight[None, :]] = 0.0
-    A[degenerate] = 0.0
+    A = _weighted_kernel(mesh.points, mesh)
+    for b in np.unique(mesh.base_index[mesh.straight]):
+        nodes = np.flatnonzero(mesh.base_index == b)
+        A[np.ix_(nodes, nodes)] = 0.0
     # smooth diagonal limit k(x, x) = kappa(x) / (2 pi)
+    idx = np.arange(mesh.size)
     A[idx, idx] = mesh.curvatures * mesh.weights / (2.0 * math.pi)
     has_twin = mesh.twin >= 0
     A[idx[has_twin], mesh.twin[has_twin]] -= 1.0
@@ -366,7 +389,9 @@ def fredholm_verdict(d: ConicalDomain, c: float, a: float,
     The operator is Fredholm exactly when it is elliptic (c != 0) and the
     limit symbol at every vertex stratum is invertible along the weight
     line.  Margins up to INCONCLUSIVE_MARGIN are reported, not resolved.
+    tol and xi_max are checked first, also on a domain without vertices.
     """
+    mellin.check_scan_settings(tol, xi_max)
     per_vertex = {vid: invertibility_scan(op, c, a, xi_max=xi_max, tol=tol)
                   for vid, op in limit_operators(d).items()}
     witnesses = tuple(v for v, r in per_vertex.items() if not r.invertible)
@@ -410,12 +435,14 @@ def domain_windows(d: ConicalDomain, c: float,
     row holds the weight and the margin and witness xi of the stratum with
     the smallest margin there.  It is empty when there are no vertices or
     no global window.  The search range (a_min, a_max) must be nonempty,
-    a_min < a_max; otherwise ValueError is raised before any scan.
+    a_min < a_max; otherwise ValueError is raised before any scan, and so
+    is MellinError for a tol or xi_max that ``check_scan_settings`` rejects.
     """
     a_min, a_max = search
     if not a_min < a_max:
         raise ValueError(f"empty weight search range [{a_min}, {a_max}]: "
                          "a_min must be below a_max")
+    mellin.check_scan_settings(tol, xi_max)
     ops = limit_operators(d)
     per_vertex = {vid: admissible_weight_window(op, c, search, tol=tol,
                                                 xi_max=xi_max)
@@ -468,12 +495,12 @@ def solve_dirichlet(d: ConicalDomain, g, c: float = 1.0, a: float = 0.0,
                          f"{v.overall}, witnesses {v.witnesses}")
     if mesh is None:
         mesh = _mesh_for(d, 32, 0.5, 12)
-    A = assemble_np(d, mesh)
+    sys = assemble_np(d, mesh)
+    sys[np.diag_indices_from(sys)] += c
     if callable(g):
         rhs = np.array([g(p[0], p[1]) for p in mesh.points])
     else:
         rhs = np.asarray(g, dtype=float)
-    sys = c * np.eye(mesh.size) + A
     phi = np.linalg.solve(sys, 2.0 * rhs)
     residual = float(np.max(np.abs(sys @ phi - 2.0 * rhs)))
     if residual > SOLVE_RESIDUAL_TOL:
@@ -497,9 +524,10 @@ class StudyResult:
 def weighted_discrete_operator(d, c: float, a: float, mesh: BoundaryMesh
                                ) -> np.ndarray:
     """D (c I + A) D^{-1} with D the diagonal realizing the weight-a pairing."""
-    A = assemble_np(d, mesh)
+    B = assemble_np(d, mesh)
+    B[np.diag_indices_from(B)] += c
     Ddiag = np.sqrt(mesh.weights) * mesh.r ** (-(0.5 + a))
-    B = (c * np.eye(mesh.size) + A) * (Ddiag[:, None] / Ddiag[None, :])
+    B *= Ddiag[:, None] / Ddiag[None, :]
     return B
 
 

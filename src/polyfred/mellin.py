@@ -256,6 +256,15 @@ class ScanResult:
     xi_max_used: float
 
 
+def check_scan_settings(tol: float, xi_max: float) -> None:
+    """Raise MellinError unless tol is a number >= 0 and xi_max a finite
+    positive number."""
+    if not 0.0 < xi_max < math.inf:
+        raise MellinError(f"xi_max = {xi_max} must be positive and finite")
+    if not tol >= 0.0:
+        raise MellinError(f"tol = {tol} must be a number >= 0")
+
+
 def invertibility_scan(op: MellinOperator, c: float, a: float,
                        xi_max: float = XI_MAX_DEFAULT,
                        tol: float = SCAN_TOL) -> ScanResult:
@@ -264,13 +273,10 @@ def invertibility_scan(op: MellinOperator, c: float, a: float,
     The verdict combines the sampled minimum over [-xi_max, xi_max] with an
     explicit tail bound: beyond xi_max the kernel part is majorized by
     ``tail_majorant``, so invertibility there follows from the constant part
-    alone.  A failing tail bound doubles xi_max up to a cap.  tol must be
-    a number >= 0 and xi_max a finite positive number.
+    alone.  A failing tail bound doubles xi_max up to a cap.  tol and
+    xi_max must pass ``check_scan_settings``.
     """
-    if not 0.0 < xi_max < math.inf:
-        raise MellinError(f"xi_max = {xi_max} must be positive and finite")
-    if not tol >= 0.0:
-        raise MellinError(f"tol = {tol} must be a number >= 0")
+    check_scan_settings(tol, xi_max)
     samples = symbol_on_line(op, c, a, _base_grid(xi_max))
     i = int(np.argmin(samples.sigma_min))
     margin = float(samples.sigma_min[i])

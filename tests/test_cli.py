@@ -100,6 +100,17 @@ def test_analyze_error_exit_three(runner, tmp_path):
         assert opts[0][2:].replace("-", "_") in res.output
 
 
+def test_scan_settings_checked_without_vertices(runner):
+    # the circle has no vertex to scan, yet a bad tol or xi_max still exits 3
+    for cmd, opts in [("analyze", ["--a", "0", "--tol", "nan"]),
+                      ("window", ["--xi-max", "inf"])]:
+        res = runner.invoke(main, [cmd, domain_path("circle"), "--c", "1",
+                                   *opts])
+        assert res.exit_code == 3, (cmd, opts)
+        assert opts[-2][2:].replace("-", "_") in res.output
+        assert res.stdout == ""
+
+
 # -- window ----------------------------------------------------------------
 
 def test_window_square(runner):

@@ -1,6 +1,7 @@
 """Nystrom assembly, graded meshes, Dirichlet harness, and sigma_min studies."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -170,6 +171,51 @@ def test_crack_twin_jump(slit_square):
     assert np.allclose(A[i, mesh.twin[i]], -1.0, atol=1e-14)
 
 
+@pytest.mark.parametrize("name", ("circle", "square", "lshape", "hexagon",
+                                  "slit_square"))
+def test_assembly_matches_pointwise_kernel(name):
+    # every entry off the same-straight-edge blocks, the diagonal and the
+    # twin pairs is the pointwise kernel times the weight; the masked
+    # entries are 0, kappa w / (2 pi) and -1 (the hexagon's slanted edges
+    # are where the kernel alone would leave rounding-size entries)
+    d = pf.parse_domain(domain_path(name))
+    mesh = _mesh_for(d, 8, 0.5, 4)
+    A = assemble_np(d, mesh)
+    N = mesh.size
+    idx = np.arange(N)
+    block = ((mesh.base_index[:, None] == mesh.base_index[None, :])
+             & mesh.straight[None, :])
+    twin = np.zeros((N, N), dtype=bool)
+    has_twin = mesh.twin >= 0
+    twin[idx[has_twin], mesh.twin[has_twin]] = True
+    masked = block | np.eye(N, dtype=bool) | twin
+    want = np.array([[np_kernel_point(mesh.points[i], mesh.points[j],
+                                      mesh.normals[j]) * mesh.weights[j]
+                      if not masked[i, j] else 0.0 for j in range(N)]
+                     for i in range(N)])
+    np.testing.assert_allclose(A[~masked], want[~masked], rtol=1e-14, atol=0)
+    assert np.all(A[block & ~np.eye(N, dtype=bool) & ~twin] == 0.0)
+    assert np.array_equal(np.diagonal(A),
+                          mesh.curvatures * mesh.weights / (2.0 * math.pi))
+    assert np.all(A[twin] == -1.0)
+    assert twin.any() == (name == "slit_square")
+
+
+@pytest.mark.parametrize("name", ("circle", "square", "lshape",
+                                  "slit_square"))
+def test_potential_matches_pointwise_sum(name):
+    d = pf.parse_domain(domain_path(name))
+    mesh = _mesh_for(d, 8, 0.5, 4)
+    density = np.random.default_rng(3).standard_normal(mesh.size)
+    targets = np.array([[0.1, 0.4], [-0.3, -0.2], [0.45, -0.05]])
+    got = double_layer_potential(targets, mesh, density)
+    for t, val in zip(targets, got):
+        terms = [np_kernel_point(t, y, nu) * w * f for y, nu, w, f in
+                 zip(mesh.points, mesh.normals, mesh.weights, density)]
+        assert abs(val - math.fsum(terms)) <= 1e-14 * math.fsum(map(abs,
+                                                                    terms))
+
+
 def test_constant_density_potential_is_winding(circle, square):
     for d, pts in ((circle, [[0.0, 0.0], [0.3, -0.4]]),
                    (square, [[0.0, 0.0], [-0.5, 0.6]])):
@@ -219,6 +265,33 @@ def test_weighted_operator_is_similarity(circle):
     ev_a = np.sort(np.linalg.eigvals(np.eye(mesh.size) + A).real)
     ev_b = np.sort(np.linalg.eigvals(B).real)
     assert np.allclose(ev_a, ev_b, atol=1e-9)
+
+
+@pytest.mark.parametrize("c", (1.0, -1.0, 0.5))
+@pytest.mark.parametrize("name", ("square", "slit_square", "circle"))
+def test_weighted_operator_bit_level(name, c):
+    # the in-place shift and scaling give exactly D (c I + A) D^-1
+    d = pf.parse_domain(domain_path(name))
+    mesh = _mesh_for(d, 16, 0.5, 8)
+    a = -0.25
+    D = np.sqrt(mesh.weights) * mesh.r ** (-(0.5 + a))
+    want = ((c * np.eye(mesh.size) + assemble_np(d, mesh))
+            * (D[:, None] / D[None, :]))
+    assert np.array_equal(weighted_discrete_operator(d, c, a, mesh), want)
+
+
+def test_weighted_operator_peak_memory(lshape):
+    # assembly and weighting work in place on N x N coordinate arrays: no
+    # (N, N, 2) difference array, no identity and no shifted copy
+    mesh = _mesh_for(lshape, 128, 0.5, 24)
+    N = mesh.size
+    tracemalloc.start()
+    try:
+        weighted_discrete_operator(lshape, 1.0, -0.25, mesh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.25 * 8 * N * N
 
 
 # -- verdicts --------------------------------------------------------------
