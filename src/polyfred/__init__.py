@@ -36,7 +36,6 @@ from .layerpot import (
     BoundaryMesh,
     FredholmVerdict,
     StudyResult,
-    WeightedNormSpec,
     WindowReport,
     assemble_np,
     domain_windows,
@@ -47,5 +46,4 @@ from .layerpot import (
     min_singular_value_study,
     np_kernel,
     solve_dirichlet,
-    weighted_norm,
 )

@@ -7,9 +7,12 @@ be written as JSON or CSV.
 
 from __future__ import annotations
 
+import ast
+import cmath
 import csv
 import json
 import math
+import operator
 import re
 import sys
 
@@ -23,7 +26,11 @@ from .mellin import MellinError
 
 # -- boundary data mini-expressions ---------------------------------------
 
-_TOKEN = re.compile(r"\s*(\d+\.\d*|\.\d+|\d+|[A-Za-z_]+|\*\*|[-+*/^()])")
+_NUMBER = re.compile(r"\d+\.\d*|\.\d+|\d+")
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+           ast.Div: operator.truediv, ast.Pow: operator.pow}
+_UNARY = {ast.UAdd: operator.pos, ast.USub: operator.neg}
+_PARTS = {"re": lambda v: complex(v).real, "im": lambda v: complex(v).imag}
 
 
 class ExprError(ValueError):
@@ -33,107 +40,60 @@ class ExprError(ValueError):
 def parse_boundary_data(text: str):
     """Compile a small closed expression grammar into a function g(x, y).
 
-    Supported: numbers, x, y, z (= x + i y), pi, + - * / ^, parentheses,
-    and the harmonic tags re(...) / im(...).  The result must be real.
+    Supported: numerals (12, 1.5, 2., .5), x, y, z (= x + i y), pi,
+    + - * / ^ (or **), unary + and -, parentheses, and the harmonic tags
+    re(...) / im(...).  Python's parser reads the text; only these nodes
+    are compiled.  g evaluates on Python floats and raises ExprError where
+    the value is not a finite real number.
     """
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise ExprError(f"bad character near {text[pos:]!r}")
-            break
-        tok = m.group(1)
-        tokens.append("^" if tok == "**" else tok)
-        pos = m.end()
-    tokens.append(None)                 # sentinel
+    bad = re.search(r"[^\w\s.+\-*/^()]", text)
+    if bad:
+        raise ExprError(f"bad character near {text[bad.start():]!r}")
+    # one space per whitespace run lets Python read the text as one line;
+    # leading zeros, which Python forbids on integers, are dropped
+    src = re.sub(r"(?<![\w.])0+(?=\d)", "",
+                 " ".join(text.split())).replace("^", "**")
 
-    state = {"i": 0}
+    def compile_node(node):
+        if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+            op = _BINARY[type(node.op)]
+            left, right = compile_node(node.left), compile_node(node.right)
+            return lambda env: op(left(env), right(env))
+        if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY:
+            op, inner = _UNARY[type(node.op)], compile_node(node.operand)
+            return lambda env: op(inner(env))
+        if isinstance(node, ast.Constant):
+            numeral = ast.get_source_segment(src, node)
+            if _NUMBER.fullmatch(numeral):        # no 1e3, 0x10, 1_0, 2j
+                val = float(numeral)
+                return lambda env: val
+        if isinstance(node, ast.Name) and node.id in ("x", "y", "z", "pi"):
+            name = node.id
+            return lambda env: env[name]
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id in _PARTS and len(node.args) == 1:
+            part, inner = _PARTS[node.func.id], compile_node(node.args[0])
+            return lambda env: part(inner(env))
+        raise ExprError(
+            f"unsupported expression {ast.get_source_segment(src, node)!r}")
 
-    def peek():
-        return tokens[state["i"]]
-
-    def take(expected=None):
-        tok = tokens[state["i"]]
-        if expected is not None and tok != expected:
-            raise ExprError(f"expected {expected!r}, got {tok!r}")
-        state["i"] += 1
-        return tok
-
-    def expr():
-        node = term()
-        while peek() in ("+", "-"):
-            if take() == "+":
-                node = (lambda l, r: lambda x, y, z: l(x, y, z) + r(x, y, z))(node, term())
-            else:
-                node = (lambda l, r: lambda x, y, z: l(x, y, z) - r(x, y, z))(node, term())
-        return node
-
-    def term():
-        node = unary()
-        while peek() in ("*", "/"):
-            if take() == "*":
-                node = (lambda l, r: lambda x, y, z: l(x, y, z) * r(x, y, z))(node, unary())
-            else:
-                node = (lambda l, r: lambda x, y, z: l(x, y, z) / r(x, y, z))(node, unary())
-        return node
-
-    def unary():
-        if peek() in ("+", "-"):
-            if take() == "-":
-                inner = unary()
-                return lambda x, y, z: -inner(x, y, z)
-            return unary()
-        return power()
-
-    def power():
-        base = atom()
-        if peek() == "^":
-            take()
-            exp = unary()
-            return lambda x, y, z: base(x, y, z) ** exp(x, y, z)
-        return base
-
-    def atom():
-        tok = peek()
-        if tok is None:
-            raise ExprError("unexpected end of expression")
-        if tok == "(":
-            take()
-            node = expr()
-            take(")")
-            return node
-        take()
-        if re.fullmatch(r"\d+\.\d*|\.\d+|\d+", tok):
-            val = float(tok)
-            return lambda x, y, z: val
-        if tok == "x":
-            return lambda x, y, z: x
-        if tok == "y":
-            return lambda x, y, z: y
-        if tok == "z":
-            return lambda x, y, z: z
-        if tok == "pi":
-            return lambda x, y, z: math.pi
-        if tok in ("re", "im"):
-            take("(")
-            node = expr()
-            take(")")
-            if tok == "re":
-                return lambda x, y, z: complex(node(x, y, z)).real
-            return lambda x, y, z: complex(node(x, y, z)).imag
-        raise ExprError(f"unknown token {tok!r}")
-
-    root = expr()
-    if peek() is not None:
-        raise ExprError(f"trailing input at {peek()!r}")
+    try:
+        root = compile_node(ast.parse(src, mode="eval").body)
+    except (SyntaxError, RecursionError, MemoryError) as exc:
+        # Python's parser reports input nested too deeply as MemoryError
+        why = getattr(exc, "msg", type(exc).__name__)
+        raise ExprError(f"cannot parse boundary data: {why}") from None
 
     def g(x, y):
-        val = root(x, y, complex(x, y))
-        val = complex(val)
-        if abs(val.imag) > 1e-12 * max(1.0, abs(val.real)):
-            raise ExprError("boundary data evaluates to a complex value")
+        x, y = float(x), float(y)
+        try:
+            val = complex(root({"x": x, "y": y, "z": complex(x, y),
+                                "pi": math.pi}))
+        except (ArithmeticError, RecursionError) as exc:
+            raise ExprError(f"boundary data fails at ({x}, {y}): {exc}") from None
+        if not cmath.isfinite(val) or \
+                abs(val.imag) > 1e-12 * max(1.0, abs(val.real)):
+            raise ExprError(f"boundary data is no finite real at ({x}, {y})")
         return val.real
 
     return g
@@ -287,9 +247,9 @@ def solve(domain_file, g_expr, a, mesh_n, mesh_q, mesh_nc, c, out):
         mesh = layerpot.graded_mesh(layerpot.unfold(d), n=mesh_n, q=mesh_q,
                                     n_c=mesh_nc)
         sol = layerpot.solve_dirichlet(d, g, c=c, a=a, mesh=mesh)
-    except (DomainError, MellinError, ExprError, ValueError, OSError) as exc:
+        pts, errs = _interior_probe(sol, g)
+    except (DomainError, MellinError, ValueError, OSError) as exc:
         _fail(str(exc))
-    pts, errs = _interior_probe(sol, g)
     report = {
         "config": _config_echo(domain=domain_file, g=g_expr, c=c, a=a,
                                mesh_n=mesh_n, mesh_q=mesh_q, mesh_nc=mesh_nc),

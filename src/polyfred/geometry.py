@@ -138,13 +138,13 @@ class Sector:
 
 @dataclass(frozen=True)
 class VertexInfo:
-    vertex_id: str
-    rays: tuple[Ray, ...]
     sectors: tuple[Sector, ...]      # components of the cone base
     kind: VertexKind
-    ramification: int
-    crack_sector_idx: tuple[int, ...]     # sectors adjacent to a crack ray
-    noncrack_sector_idx: tuple[int, ...]  # the omega' part (conical crack pts)
+
+    @property
+    def ramification(self) -> int:
+        """Number of cone-base components, one cover vertex each."""
+        return len(self.sectors)
 
 
 def _norm_angle(a: float) -> float:
@@ -155,14 +155,13 @@ def _norm_angle(a: float) -> float:
 class ConicalDomain:
     """Validated polygonal/conical domain with optional cracks."""
 
-    def __init__(self, vertices, edges, options=None):
+    def __init__(self, vertices, edges):
         self.vertices: dict[str, Vertex] = {v.id: v for v in vertices}
         if len(self.vertices) != len(vertices):
             raise DomainError("duplicate vertex ids")
         self.edges: dict[str, Edge] = {e.id: e for e in edges}
         if len(self.edges) != len(edges):
             raise DomainError("duplicate edge ids")
-        self.options = dict(options or {})
         self._validate_refs()
         self.loop = self._build_loop()          # [(edge_id, forward)], CCW
         self._validate_no_intersections()
@@ -286,77 +285,46 @@ class ConicalDomain:
                     raise DomainError(f"edges {ei} and {ej} intersect")
 
     def _incident_rays(self, vid: str) -> list[Ray]:
+        """Every edge end at vid; a closed arc anchored here gives both."""
         rays = []
         for e in self.edges.values():
             for end, at in (("from", e.v_from), ("to", e.v_to)):
                 if at != vid:
                     continue
-                if e.kind == "arc" and e.is_closed():
-                    continue
                 t = e.tangent(0.0 if end == "from" else 1.0, self)
                 d = t if end == "from" else -t
                 rays.append(Ray(e.id, end, _norm_angle(math.atan2(d[1], d[0])),
                                 e.crack))
-        # a closed arc anchored at this vertex contributes both of its ends
-        for e in self.edges.values():
-            if e.kind == "arc" and e.is_closed() and e.v_from == vid:
-                for end, s, sign in (("from", 0.0, 1.0), ("to", 1.0, -1.0)):
-                    t = e.tangent(s, self)
-                    d = sign * t
-                    rays.append(Ray(e.id, end, _norm_angle(math.atan2(d[1], d[0])),
-                                    e.crack))
         return rays
 
-    def _loop_rays(self, vid: str):
-        """(outgoing, incoming) departure angles of the boundary loop at vid."""
-        out_ray = in_ray = None
-        for eid, fwd in self.loop:
-            e = self.edges[eid]
-            a = e.v_from if fwd else e.v_to
-            b = e.v_to if fwd else e.v_from
-            if a == vid:
-                t = e.tangent(0.0 if fwd else 1.0, self)
-                d = t if fwd else -t
-                out_ray = (eid, "from" if fwd else "to",
-                           _norm_angle(math.atan2(d[1], d[0])))
-            if b == vid:
-                t = e.tangent(1.0 if fwd else 0.0, self)
-                d = -t if fwd else t
-                in_ray = (eid, "to" if fwd else "from",
-                          _norm_angle(math.atan2(d[1], d[0])))
-        return out_ray, in_ray
-
     def _analyze_vertices(self) -> dict[str, VertexInfo]:
+        # the end of each loop edge that the CCW loop traverses first
+        first_end = {eid: "from" if fwd else "to" for eid, fwd in self.loop}
         info = {}
         for vid in self.vertices:
             rays = self._incident_rays(vid)
-            if not rays:
-                raise DomainError(f"vertex {vid} has no incident edge ends")
             crack_rays = [r for r in rays if r.crack]
-            loop_here = any(not r.crack for r in rays)
+            loop_rays = [r for r in rays if not r.crack]
 
-            if loop_here:
-                out_ray, in_ray = self._loop_rays(vid)
-                if out_ray is None or in_ray is None:
+            if loop_rays:
+                outs = [r for r in loop_rays if r.end == first_end[r.edge_id]]
+                ins = [r for r in loop_rays if r.end != first_end[r.edge_id]]
+                if len(outs) != 1 or len(ins) != 1:
                     raise DomainError(f"vertex {vid}: inconsistent boundary loop")
-                ray_out = next(r for r in rays
-                               if (r.edge_id, r.end) == out_ray[:2] and not r.crack)
-                ray_in = next(r for r in rays
-                              if (r.edge_id, r.end) == in_ray[:2] and not r.crack)
-                base0 = ray_out.angle
-                span = _norm_angle(ray_in.angle - base0)
+                base0 = outs[0].angle
+                span = _norm_angle(ins[0].angle - base0)
                 if span < ANGLE_TOL:
                     span = TWO_PI
-                inner = sorted(
-                    (r for r in crack_rays), key=lambda r: _norm_angle(r.angle - base0))
+                inner = sorted(crack_rays,
+                               key=lambda r: _norm_angle(r.angle - base0))
                 for r in inner:
                     off = _norm_angle(r.angle - base0)
                     if off < ANGLE_TOL or off > span - ANGLE_TOL:
                         raise DomainError(
                             f"crack at vertex {vid} leaves the interior sector")
-                bounds = [(base0, ray_out)] + [
+                bounds = [(base0, outs[0])] + [
                     (base0 + _norm_angle(r.angle - base0), r) for r in inner
-                ] + [(base0 + span, ray_in)]
+                ] + [(base0 + span, ins[0])]
             else:
                 # floating crack vertex: full circle split by crack rays
                 inner = sorted(crack_rays, key=lambda r: r.angle)
@@ -372,42 +340,29 @@ class ConicalDomain:
                 sectors.append(Sector(t0, t1, r0, r1))
 
             total = sum(s.measure for s in sectors)
-            crack_idx = tuple(i for i, s in enumerate(sectors)
-                              if s.ray_start.crack or s.ray_end.crack)
-            noncrack_idx = tuple(i for i in range(len(sectors))
-                                 if i not in crack_idx)
-
-            if crack_rays:
-                if abs(total - TWO_PI) < ANGLE_TOL:
-                    kind = VertexKind.INNER_CRACK
-                    ram = len(sectors)
-                elif loop_here and abs(total - math.pi) < ANGLE_TOL:
-                    kind = VertexKind.OUTER_CRACK
-                    ram = len(sectors)
-                else:
-                    kind = VertexKind.CONICAL_CRACK
-                    ram = len(crack_idx) + (1 if noncrack_idx else 0)
-            else:
+            if not crack_rays:
                 kind = VertexKind.CONICAL
-                ram = 1
-                if len(sectors) == 1 and abs(sectors[0].measure - math.pi) < FLAT_TOL:
+                if abs(total - math.pi) < FLAT_TOL:
                     raise DomainError(
                         f"vertex {vid} is flat (angle pi); remove it")
-            info[vid] = VertexInfo(vid, tuple(rays), tuple(sectors), kind, ram,
-                                   crack_idx, noncrack_idx)
+            elif abs(total - TWO_PI) < ANGLE_TOL:
+                kind = VertexKind.INNER_CRACK
+            elif loop_rays and abs(total - math.pi) < ANGLE_TOL:
+                kind = VertexKind.OUTER_CRACK
+            else:
+                kind = VertexKind.CONICAL_CRACK
+            info[vid] = VertexInfo(tuple(sectors), kind)
         return info
 
     def _collar_cutoffs(self) -> dict[str, float]:
         eps = {}
-        overrides = self.options.get("epsilon", {})
         vids = list(self.vertices)
         for vid in vids:
             shortest = min(e.length(self) for e in self.edges.values()
                            if vid in (e.v_from, e.v_to))
             others = [np.linalg.norm(self.vertex(vid).pos - self.vertex(o).pos)
                       for o in vids if o != vid]
-            e0 = 0.25 * min([shortest] + others)
-            eps[vid] = float(overrides.get(vid, e0))
+            eps[vid] = float(0.25 * min([shortest] + others))
             if eps[vid] <= 0:
                 raise DomainError(f"collar cutoff for {vid} must be positive")
         return eps
@@ -442,7 +397,7 @@ def parse_domain(spec) -> ConicalDomain:
             crack=bool(e.get("crack", False)),
             params=dict(e.get("params", {})),
         ))
-    return ConicalDomain(vertices, edges, doc.get("options"))
+    return ConicalDomain(vertices, edges)
 
 
 # -- basic measurements ----------------------------------------------------
@@ -485,7 +440,7 @@ class URay:
 class UVertex:
     uid: str
     base_vertex_id: str
-    family: str                      # "noncrack" | "noncrack_part" | "crack_cover"
+    family: str                      # "noncrack" | "crack_cover"
     sectors: tuple[Sector, ...]      # bounded by URay edge-ends
 
     @property
@@ -502,6 +457,9 @@ class UEdge:
     twin_uid: str | None
 
 
+_OTHER_END = {"from": "to", "to": "from"}
+
+
 class UnfoldedDomain:
     """Crack-free cover of a cracked domain (identity for crack-free input)."""
 
@@ -511,20 +469,14 @@ class UnfoldedDomain:
         self.uedges: dict[str, UEdge] = {}
         self._build()
 
-    # total ramification alpha and the count m' of conical crack points
-    # with nonempty non-crack part are set by _build.
-
     def _build(self):
         base = self.base
-        singular = {vid: info for vid, info in base.vertex_info.items()
-                    if info.kind in (VertexKind.INNER_CRACK,
-                                     VertexKind.OUTER_CRACK,
-                                     VertexKind.CONICAL_CRACK)}
-        self.m_prime = sum(
-            1 for info in singular.values()
-            if info.kind == VertexKind.CONICAL_CRACK and info.noncrack_sector_idx)
-        self.alpha = sum(info.ramification for info in singular.values()) \
-            - self.m_prime
+        # total ramification alpha over the crack points.  The loop passes a
+        # vertex once, so every sector at a crack point touches a crack ray:
+        # no conical crack point has a non-crack part, and their count m' is 0.
+        self.alpha = sum(info.ramification for info in base.vertex_info.values()
+                         if info.kind != VertexKind.CONICAL)
+        self.m_prime = 0
 
         # edges: boundary edges as-is (oriented along the CCW loop),
         # crack edges as twin face pairs
@@ -536,21 +488,14 @@ class UnfoldedDomain:
             self.uedges[u1] = UEdge(u1, e.id, False, u0)
 
         for vid, info in base.vertex_info.items():
+            usect = tuple(self._lift_sector(s) for s in info.sectors)
             if info.kind == VertexKind.CONICAL:
-                usect = tuple(self._lift_sector(s) for s in info.sectors)
                 self.uvertices[vid] = UVertex(vid, vid, "noncrack", usect)
                 continue
-            # singular crack point: one cover vertex per crack-part sector,
-            # plus one vertex for the non-crack part when it is nonempty
-            for j, idx in enumerate(info.crack_sector_idx):
+            # crack point: one cover vertex per sector
+            for j, s in enumerate(usect):
                 uid = f"{vid}#c{j}"
-                usect = (self._lift_sector(info.sectors[idx]),)
-                self.uvertices[uid] = UVertex(uid, vid, "crack_cover", usect)
-            if info.kind == VertexKind.CONICAL_CRACK and info.noncrack_sector_idx:
-                uid = f"{vid}#0"
-                usect = tuple(self._lift_sector(info.sectors[i])
-                              for i in info.noncrack_sector_idx)
-                self.uvertices[uid] = UVertex(uid, vid, "noncrack_part", usect)
+                self.uvertices[uid] = UVertex(uid, vid, "crack_cover", (s,))
 
     def _lift_sector(self, s: Sector) -> Sector:
         r0 = self._lift_ray(s.ray_start, +1)
@@ -558,28 +503,19 @@ class UnfoldedDomain:
         return Sector(s.theta_start, s.theta_end, r0, r1)
 
     def _lift_ray(self, ray: Ray, side: int) -> URay:
+        """The edge end of the unfolded boundary that bounds a sector on side.
+
+        A boundary ray keeps its edge; its end is renamed when the loop runs
+        the edge backward.  A crack ray lies on face "+" (the base edge's
+        direction, sector on its left) when (end == "from") == (side == +1),
+        and otherwise on face "-", which runs the edge backward."""
         if not ray.crack:
-            uid = ray.edge_id
-            ue = self.uedges[uid]
-            end = ray.end if ue.forward else ("to" if ray.end == "from" else "from")
-            return URay(uid, end, ray.angle, side)
-        # crack ray: pick the face whose outer normal points away from the
-        # sector, i.e. the face bounding the sector on this side.  The face
-        # traversed away from the vertex with the sector on its left is the
-        # one whose left side (+90 deg from departure direction) is the
-        # sector side.
-        for suffix, fwd in (("+", True), ("-", False)):
-            uid = ray.edge_id + suffix
-            ue = self.uedges[uid]
-            end = ray.end if fwd else ("to" if ray.end == "from" else "from")
-            # departure direction along this face from this vertex end
-            # equals ray.angle for both faces; they differ by which side
-            # the domain lies on.  Face "+" keeps the base edge direction:
-            # for end "from" its interior-left side is +1, for end "to" -1.
-            left_side = 1 if (end == "from") else -1
-            if left_side == side:
-                return URay(uid, end, ray.angle, side)
-        raise AssertionError("unreachable: crack ray face resolution")
+            fwd = self.uedges[ray.edge_id].forward
+            return URay(ray.edge_id, ray.end if fwd else _OTHER_END[ray.end],
+                        ray.angle, side)
+        if (ray.end == "from") == (side == +1):
+            return URay(ray.edge_id + "+", ray.end, ray.angle, side)
+        return URay(ray.edge_id + "-", _OTHER_END[ray.end], ray.angle, side)
 
     @property
     def has_cracks(self) -> bool:
@@ -624,7 +560,7 @@ def smoothed_distance(d: ConicalDomain, x):
     x = np.asarray(x, dtype=float)
     pts = np.atleast_2d(x)
     if not d.vertices:
-        r = np.full(len(pts), float(d.options.get("epsilon_smooth", 0.25)))
+        r = np.full(len(pts), 0.25)     # the plateau with no collar to blend
     else:
         pos = np.array([v.pos for v in d.vertices.values()])
         eps_v = np.array([d.epsilon[vid] for vid in d.vertices])

@@ -2,9 +2,8 @@
 
 The smooth boundary part carries the pair structure (compact operators); each
 vertex carries a dilation-invariant stratum on (component set)^2 x R+.  For a
-cracked domain the strata come in three families: ordinary vertices, the
-non-crack parts of crack junctions, and the crack covers (one per unit of
-ramification).  The limit operator of c*I + K at a vertex stratum is a matrix
+cracked domain the strata come in two families: ordinary vertices and the
+crack covers (one per unit of ramification).  The limit operator of c*I + K at a vertex stratum is a matrix
 Mellin convolution operator read off the edge-ends of the unfolded vertex:
 every non-collinear pair of rays carries a ray-pair kernel, and twin crack
 faces carry a constant jump coupling, which has no integral-kernel
@@ -26,12 +25,12 @@ class VertexStratum:
     """Dilation-invariant stratum over one (possibly unfolded) vertex.
 
     ``labels`` enumerates the boundary points of the cone base: two edge-ends
-    per angular component.  ``family`` distinguishes ordinary vertices,
-    non-crack parts of crack junctions, and crack covers.
+    per angular component.  ``family`` distinguishes ordinary vertices
+    from crack covers.
     """
     vertex_id: str
     labels: tuple[URay, ...]
-    family: str                      # "noncrack" | "noncrack_part" | "crack_cover"
+    family: str                      # "noncrack" | "crack_cover"
 
     @property
     def size(self) -> int:

@@ -1,4 +1,4 @@
-"""Double layer operator assembly, weighted norms, and Fredholm verdicts.
+"""Double layer operator assembly, Nystrom studies, and Fredholm verdicts.
 
 This module bridges the geometric and symbolic layers: it builds the limit
 operator of the double layer (Neumann-Poincare) operator at every vertex
@@ -312,38 +312,6 @@ def assemble_np(d, mesh: BoundaryMesh) -> np.ndarray:
     return A
 
 
-# -- weighted norms --------------------------------------------------------
-
-@dataclass(frozen=True)
-class WeightedNormSpec:
-    m: int
-    a: float
-
-
-def weighted_norm(u, mesh: BoundaryMesh, spec: WeightedNormSpec) -> float:
-    """Discrete norm of the weighted Sobolev scale, orders m in {0, 1}.
-
-    Order 0: l2 norm of r^(-a) u against the quadrature weights.  Order 1
-    adds the first difference along each edge weighted by r^(1-a).
-    """
-    if spec.m not in (0, 1):
-        raise ValueError("only orders m in {0, 1} are supported")
-    u = np.asarray(u, dtype=float)
-    total = float(np.sum(mesh.r ** (-2.0 * spec.a) * u ** 2 * mesh.weights))
-    if spec.m == 1:
-        for sl in mesh.slices.values():
-            pu, pw, pr = u[sl], mesh.weights[sl], mesh.r[sl]
-            if len(pu) < 2:
-                continue
-            # midpoint nodes: spacing between neighbors is the mean of the
-            # adjacent subinterval lengths
-            h = 0.5 * (pw[:-1] + pw[1:])
-            du = np.diff(pu) / h
-            rmid = 0.5 * (pr[:-1] + pr[1:])
-            total += float(np.sum(rmid ** (2.0 * (1.0 - spec.a)) * du ** 2 * h))
-    return math.sqrt(total)
-
-
 # -- Fredholm verdicts -----------------------------------------------------
 
 def limit_operators(d: ConicalDomain) -> dict[str, MellinOperator]:
@@ -503,7 +471,7 @@ def solve_dirichlet(d: ConicalDomain, g, c: float = 1.0, a: float = 0.0,
         rhs = np.asarray(g, dtype=float)
     phi = np.linalg.solve(sys, 2.0 * rhs)
     residual = float(np.max(np.abs(sys @ phi - 2.0 * rhs)))
-    if residual > SOLVE_RESIDUAL_TOL:
+    if not residual <= SOLVE_RESIDUAL_TOL:          # NaN fails too
         raise ValueError(f"linear solve residual {residual:.2e} above tolerance")
     return SolveResult(phi, mesh, residual, 2.0)
 

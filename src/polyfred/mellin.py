@@ -189,12 +189,13 @@ def tail_majorant(op: MellinOperator, xi: float) -> float:
 
     For d in (0, pi] after reflection, |sinh(x + iy)|^2 = sinh(x)^2 + sin(y)^2
     gives |sinh((pi - d) lam) / sinh(pi lam)| <= cosh((pi - d) xi) / sinh(pi xi),
-    written here with non-positive exponents only.
+    written here with non-positive exponents only.  hypot sums the entries
+    without underflow; 4 subnormal units per entry cover their rounding.
     """
     d = np.minimum(op.d, 2.0 * math.pi - op.d)[op.side != 0]
     bound = (np.exp(-d * xi) + np.exp(-(2.0 * math.pi - d) * xi)) \
         / -math.expm1(-2.0 * math.pi * xi)
-    return math.hypot(*bound)       # no underflow of the squares
+    return math.hypot(*bound) + 4 * len(bound) * math.ulp(0.0)
 
 
 # -- scans -----------------------------------------------------------------

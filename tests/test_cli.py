@@ -6,6 +6,7 @@ import math
 import re
 from collections import Counter
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -57,6 +58,55 @@ def test_expr_errors():
     # a complex-valued result is rejected at evaluation time
     with pytest.raises(ExprError):
         parse_boundary_data("z")(1.0, 2.0)
+
+
+X, Y = 0.3, -0.7
+
+
+@pytest.mark.parametrize("text,want", [
+    ("2.", 2.0),
+    (".5", 0.5),
+    ("00012", 12.0),
+    ("x ^ 2 + 1", X ** 2 + 1),
+    ("x^y^2", X ** (Y ** 2)),
+    ("-x^2", -(X ** 2)),
+    ("re (z)", X),
+    ("1e3", None),
+    ("0x10", None),
+    ("1_0", None),
+    ("2j", None),
+    ("2x", None),
+    ("x 2", None),
+    ("re()", None),
+    ("re(x,y)", None),
+    ("re(x,)", None),
+    ("abs(x)", None),
+    ("x.real", None),
+    ("x # comment", None),
+    ("x // 2", None),
+    ("True", None),
+    pytest.param("(" * 300 + "x" + ")" * 300, None, id="300-nested-parens"),
+])
+def test_expr_grammar_edges(text, want):
+    if want is None:
+        with pytest.raises(ExprError):
+            parse_boundary_data(text)
+    else:
+        assert parse_boundary_data(text)(X, Y) == want
+
+
+@pytest.mark.parametrize("text,x,y", [
+    ("1/x", 0.0, 1.0),
+    ("1/(x-x)", 0.5, 0.5),
+    ("10^400", 0.0, 0.0),
+    ("im(z^2)", 1e200, 1e200),
+])
+def test_expr_evaluation_errors(text, x, y):
+    # numpy scalars are read as Python floats, so 1/0 does not give inf
+    g = parse_boundary_data(text)
+    for args in ((x, y), (np.float64(x), np.float64(y))):
+        with pytest.raises(ExprError):
+            g(*args)
 
 
 # -- analyze ---------------------------------------------------------------
@@ -239,6 +289,14 @@ def test_solve_square(runner):
 def test_solve_bad_expression(runner):
     res = runner.invoke(main, ["solve", domain_path("square"), "--g", "x+"])
     assert res.exit_code == 3
+
+
+@pytest.mark.parametrize("g", ["1/(x-x)", "1/x", "10^400"])
+def test_solve_data_that_does_not_evaluate(runner, g):
+    # fails on the mesh (1/(x-x), 10^400) or on the interior probe (1/x)
+    res = runner.invoke(main, ["solve", domain_path("square"), "--g", g])
+    assert res.exit_code == 3, res.output
+    assert res.stdout == ""
 
 
 # -- study -----------------------------------------------------------------

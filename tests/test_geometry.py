@@ -195,6 +195,67 @@ def test_tcrack_junction(tcrack_square):
         assert info[vid].ramification == 1
 
 
+def _square_with_cracks(*tips):
+    """The unit square with one crack from corner a to each tip."""
+    doc = {"vertices": [{"id": "a", "x": 0, "y": 0}, {"id": "b", "x": 1, "y": 0},
+                        {"id": "c", "x": 1, "y": 1}, {"id": "d", "x": 0, "y": 1}],
+           "edges": [{"id": "s", "from": "a", "to": "b"},
+                     {"id": "e", "from": "b", "to": "c"},
+                     {"id": "n", "from": "c", "to": "d"},
+                     {"id": "w", "from": "d", "to": "a"}]}
+    for i, (x, y) in enumerate(tips):
+        doc["vertices"].append({"id": f"t{i}", "x": x, "y": y})
+        doc["edges"].append({"id": f"k{i}", "from": "a", "to": f"t{i}",
+                             "crack": True})
+    return parse_domain(doc)
+
+
+def test_crack_from_a_corner():
+    d = _square_with_cracks((0.4, 0.4))
+    info = d.vertex_info["a"]
+    assert info.kind == VertexKind.CONICAL_CRACK
+    assert info.ramification == 2
+    u = unfold(d)
+    assert u.alpha == 3 and u.m_prime == 0
+    covers = {uid: uv for uid, uv in u.uvertices.items()
+              if uv.base_vertex_id == "a"}
+    assert list(covers) == ["a#c0", "a#c1"]
+    assert all(uv.family == "crack_cover" and len(uv.sectors) == 1
+               for uv in covers.values())
+    # one cover on each face of the crack
+    labels = {uid: [(r.uedge_id, r.end, r.side) for r in uv.labels]
+              for uid, uv in covers.items()}
+    assert labels == {"a#c0": [("s", "from", 1), ("k0-", "to", -1)],
+                      "a#c1": [("k0+", "from", 1), ("w", "to", -1)]}
+
+
+def test_two_cracks_from_a_corner():
+    d = _square_with_cracks((0.4, 0.4), (0.5, 0.2))
+    info = d.vertex_info["a"]
+    assert info.kind == VertexKind.CONICAL_CRACK
+    assert info.ramification == 3
+    assert [uid for uid in unfold(d).uvertices if uid.startswith("a#")] == \
+        ["a#c0", "a#c1", "a#c2"]
+
+
+def test_clockwise_square_has_square_strata(square):
+    doc = {"vertices": [{"id": v.id, "x": v.x, "y": v.y}
+                        for v in square.vertices.values()],
+           "edges": [{"id": "west", "from": "a", "to": "d"},
+                     {"id": "north", "from": "d", "to": "c"},
+                     {"id": "east", "from": "c", "to": "b"},
+                     {"id": "south", "from": "b", "to": "a"}]}
+    cw, ccw = unfold(parse_domain(doc)), unfold(square)
+    assert list(cw.uvertices) == list(ccw.uvertices)
+    for uid, uv in ccw.uvertices.items():
+        other = cw.uvertices[uid]
+        assert other.family == uv.family
+        assert [(s.theta_start, s.theta_end) for s in other.sectors] == \
+            [(s.theta_start, s.theta_end) for s in uv.sectors]
+        assert [(r.uedge_id, r.end, r.side) for r in other.labels] == \
+            [(r.uedge_id, r.end, r.side) for r in uv.labels]
+
+
 # -- unfolding -------------------------------------------------------------
 
 def test_unfold_is_identity_without_cracks(square):
@@ -272,7 +333,7 @@ def _smoothed_distance_one(d, p):
     """Point-by-point reference: nearest collar by distance - eps, the first
     vertex winning ties, then the identity / quintic blend / plateau."""
     if not d.vertices:
-        return d.options.get("epsilon_smooth", 0.25)
+        return 0.25
     best = None
     for vid, v in d.vertices.items():
         dist, eps = float(np.linalg.norm(p - v.pos)), d.epsilon[vid]

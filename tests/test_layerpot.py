@@ -13,7 +13,6 @@ from scipy.sparse.linalg import ArpackNoConvergence
 import polyfred as pf
 import polyfred.layerpot as lp
 from polyfred.layerpot import (
-    WeightedNormSpec,
     _graded_breaks,
     _mesh_for,
     _smallest_singular_values,
@@ -26,7 +25,6 @@ from polyfred.layerpot import (
     np_kernel_point,
     solve_dirichlet,
     weighted_discrete_operator,
-    weighted_norm,
 )
 
 from conftest import ALL_DOMAINS, domain_path
@@ -225,39 +223,6 @@ def test_constant_density_potential_is_winding(circle, square):
         assert np.allclose(vals, 2.0, atol=1e-3)
 
 
-# -- weighted norms --------------------------------------------------------
-
-def test_weighted_norm_order_zero(circle):
-    mesh = _mesh_for(circle, 32, 0.5, 8)
-    u = np.ones(mesh.size)
-    spec = WeightedNormSpec(0, 0.0)
-    want = math.sqrt(float(np.sum(mesh.weights)))
-    assert math.isclose(weighted_norm(u, mesh, spec), want, rel_tol=1e-12)
-
-
-def test_weighted_norm_monotone_in_order(square):
-    mesh = _mesh_for(square, 16, 0.5, 8)
-    rng = np.random.default_rng(7)
-    u = rng.standard_normal(mesh.size)
-    n0 = weighted_norm(u, mesh, WeightedNormSpec(0, 0.25))
-    n1 = weighted_norm(u, mesh, WeightedNormSpec(1, 0.25))
-    assert n1 >= n0
-
-
-def test_weighted_norm_homogeneous(square):
-    mesh = _mesh_for(square, 8, 0.5, 4)
-    u = np.linspace(-1.0, 1.0, mesh.size)
-    for spec in (WeightedNormSpec(0, -0.3), WeightedNormSpec(1, 0.4)):
-        assert math.isclose(weighted_norm(3.0 * u, mesh, spec),
-                            3.0 * weighted_norm(u, mesh, spec), rel_tol=1e-12)
-
-
-def test_weighted_norm_order_guard(square):
-    mesh = _mesh_for(square, 8, 0.5, 4)
-    with pytest.raises(ValueError):
-        weighted_norm(np.ones(mesh.size), mesh, WeightedNormSpec(2, 0.0))
-
-
 def test_weighted_operator_is_similarity(circle):
     mesh = _mesh_for(circle, 32, 0.5, 8)
     A = assemble_np(circle, mesh)
@@ -401,6 +366,13 @@ def test_solve_guards(square, slit_square):
     with pytest.raises(ValueError):
         # at the window endpoint the operator is not Fredholm
         solve_dirichlet(square, lambda x, y: 1.0, a=2.0 / 3.0)
+
+
+def test_solve_rejects_nan_data(square):
+    # a NaN residual is no residual within tolerance
+    mesh = _mesh_for(square, 8, 0.5, 4)
+    with pytest.raises(ValueError, match="residual"):
+        solve_dirichlet(square, np.full(mesh.size, np.nan), mesh=mesh)
 
 
 # -- sigma_min studies -----------------------------------------------------

@@ -13,7 +13,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from click.testing import CliRunner
 from hypothesis import strategies as st
 
@@ -305,6 +305,7 @@ def test_scan_is_even_in_the_weight(name):
        st.floats(min_value=1e-3, max_value=800.0),
        st.floats(min_value=-1.0, max_value=1.0, exclude_min=True,
                  exclude_max=True))
+@example(d=2.0, side=-1, xi=361.904829173994, gamma=0.9788346394768309)
 def test_tail_majorant_bounds_symbol(d, side, xi, gamma):
     # |sinh((pi-d) lam) / sinh(pi lam)| <= cosh((pi-d) xi) / sinh(pi xi) on
     # the whole strip, checked against the closed form
