@@ -44,6 +44,5 @@ from .layerpot import (
     graded_mesh,
     limit_operators,
     min_singular_value_study,
-    np_kernel,
     solve_dirichlet,
 )

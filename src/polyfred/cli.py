@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import ast
 import cmath
+import contextlib
 import csv
 import json
 import math
@@ -102,39 +103,16 @@ def parse_boundary_data(text: str):
 # -- shared helpers --------------------------------------------------------
 
 def _emit(report: dict, out: str | None, fmt: str, table_key: str | None = None):
-    if fmt == "csv" and table_key is not None:
-        rows = report[table_key]
-        target = open(out, "w", newline="") if out else sys.stdout
-        try:
-            writer = csv.writer(target)
-            for row in rows:
-                writer.writerow(row)
-        finally:
-            if out:
-                target.close()
-        return
-    text = json.dumps(report, indent=2, default=_jsonable)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        click.echo(text)
-
-
-def _jsonable(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, tuple):
-        return list(obj)
-    raise TypeError(f"not serializable: {type(obj)}")
+    with (open(out, "w", newline="") if out
+          else contextlib.nullcontext(sys.stdout)) as target:
+        if fmt == "csv":
+            csv.writer(target).writerows(report[table_key])
+        else:
+            click.echo(json.dumps(report, indent=2), file=target)
 
 
 def _config_echo(**kwargs) -> dict:
-    cfg = {k: v for k, v in kwargs.items() if v is not None}
-    cfg["version"] = __version__
-    return cfg
+    return {**kwargs, "version": __version__}
 
 
 def _fail(message: str, code: int = 3):

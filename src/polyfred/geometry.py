@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -68,8 +69,7 @@ class Edge:
         c = np.asarray(self.params["center"], dtype=float)
         r = float(self.params["radius"])
         th = self._theta(s)
-        out = np.stack([c[0] + r * np.cos(th), c[1] + r * np.sin(th)], axis=-1)
-        return out
+        return np.stack([c[0] + r * np.cos(th), c[1] + r * np.sin(th)], axis=-1)
 
     def tangent(self, s, domain: "ConicalDomain"):
         """Unit tangent in the direction of increasing s."""
@@ -174,10 +174,6 @@ class ConicalDomain:
         return self.vertices[vid]
 
     @property
-    def crack_edges(self) -> list[Edge]:
-        return [e for e in self.edges.values() if e.crack]
-
-    @property
     def has_cracks(self) -> bool:
         return any(e.crack for e in self.edges.values())
 
@@ -195,6 +191,8 @@ class ConicalDomain:
                     raise DomainError(f"open arc edge {e.id} needs endpoints")
                 if e.crack:
                     raise DomainError("crack edges must be straight segments")
+                if e.length(self) <= 0:         # radius or angle span <= 0
+                    raise DomainError(f"degenerate edge {e.id}")
             else:
                 raise DomainError(f"unknown edge kind {e.kind!r}")
             for vid in (e.v_from, e.v_to):
@@ -264,13 +262,10 @@ class ConicalDomain:
         x, y = p[:, 0], p[:, 1]
         return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
-    def _polyline(self, edge: Edge, n=64):
-        s = np.linspace(0.0, 1.0, n)
-        return edge.point(s, self)
-
     def _validate_no_intersections(self):
         """Coarse pairwise check that distinct edges only meet at shared vertices."""
-        polys = {eid: self._polyline(e) for eid, e in self.edges.items()}
+        s = np.linspace(0.0, 1.0, 64)
+        polys = {eid: e.point(s, self) for eid, e in self.edges.items()}
         ids = list(self.edges)
         for i, ei in enumerate(ids):
             for ej in ids[i + 1:]:
@@ -370,33 +365,53 @@ class ConicalDomain:
 
 # -- parsing ---------------------------------------------------------------
 
+def _is_number(v) -> bool:
+    # Python counts bool as an int; NaN, the infinities and ints beyond the
+    # float range are no finite numbers
+    return type(v) in (int, float) and abs(v) <= sys.float_info.max
+
+
+def _field(obj, key: str, kind: type, where: str, *default):
+    """obj[key], checked to have the JSON type kind (float: a finite
+    number).  A missing or null field gives the default, if one is given;
+    otherwise DomainError names the field."""
+    if not isinstance(obj, dict):
+        raise DomainError(f"{where} must be an object")
+    val = obj.get(key)
+    if val is None and default:
+        return default[0]
+    if not (_is_number(val) if kind is float else isinstance(val, kind)):
+        raise DomainError(f"{where} needs '{key}' of type {kind.__name__}")
+    return val
+
+
 def parse_domain(spec) -> ConicalDomain:
-    """Build a validated domain from a JSON document, path, or dict."""
-    if isinstance(spec, (str, bytes)):
-        text = spec
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError:
-            with open(spec) as fh:
-                doc = json.load(fh)
-    elif hasattr(spec, "read"):
-        doc = json.load(spec)
-    else:
-        doc = spec
-    if not isinstance(doc, dict) or "vertices" not in doc or "edges" not in doc:
-        raise DomainError("domain document needs 'vertices' and 'edges'")
-    vertices = [Vertex(str(v["id"]), float(v["x"]), float(v["y"]))
-                for v in doc["vertices"]]
+    """Build a validated domain from the path of a JSON file or from a dict.
+    A missing or ill-typed field raises DomainError naming it."""
+    if not isinstance(spec, dict):
+        with open(spec) as fh:
+            spec = json.load(fh)
+    vertices = []
+    for i, v in enumerate(_field(spec, "vertices", list, "the domain")):
+        where = f"vertices[{i}]"
+        vertices.append(Vertex(_field(v, "id", str, where),
+                               float(_field(v, "x", float, where)),
+                               float(_field(v, "y", float, where))))
     edges = []
-    for e in doc["edges"]:
-        edges.append(Edge(
-            id=str(e["id"]),
-            v_from=None if e.get("from") is None else str(e["from"]),
-            v_to=None if e.get("to") is None else str(e["to"]),
-            kind=e.get("kind", "line"),
-            crack=bool(e.get("crack", False)),
-            params=dict(e.get("params", {})),
-        ))
+    for i, e in enumerate(_field(spec, "edges", list, "the domain")):
+        where = f"edges[{i}]"
+        kind = _field(e, "kind", str, where, "line")
+        params = _field(e, "params", dict, where, {})
+        if kind == "arc":
+            for key in ("radius", "theta_start", "theta_end"):
+                _field(params, key, float, where + ".params")
+            center = _field(params, "center", list, where + ".params")
+            if len(center) != 2 or not all(map(_is_number, center)):
+                raise DomainError(f"{where}.params needs 'center' as [x, y]")
+        edges.append(Edge(_field(e, "id", str, where),
+                          _field(e, "from", str, where, None),
+                          _field(e, "to", str, where, None), kind,
+                          _field(e, "crack", bool, where, False), dict(params)))
     return ConicalDomain(vertices, edges)
 
 
@@ -482,10 +497,11 @@ class UnfoldedDomain:
         # crack edges as twin face pairs
         for eid, fwd in base.loop:
             self.uedges[eid] = UEdge(eid, eid, fwd, None)
-        for e in base.crack_edges:
-            u0, u1 = f"{e.id}+", f"{e.id}-"
-            self.uedges[u0] = UEdge(u0, e.id, True, u1)
-            self.uedges[u1] = UEdge(u1, e.id, False, u0)
+        for e in base.edges.values():
+            if e.crack:
+                u0, u1 = f"{e.id}+", f"{e.id}-"
+                self.uedges[u0] = UEdge(u0, e.id, True, u1)
+                self.uedges[u1] = UEdge(u1, e.id, False, u0)
 
         for vid, info in base.vertex_info.items():
             usect = tuple(self._lift_sector(s) for s in info.sectors)
@@ -517,10 +533,6 @@ class UnfoldedDomain:
             return URay(ray.edge_id + "+", ray.end, ray.angle, side)
         return URay(ray.edge_id + "-", _OTHER_END[ray.end], ray.angle, side)
 
-    @property
-    def has_cracks(self) -> bool:
-        return self.base.has_cracks
-
 
 def unfold(d: ConicalDomain) -> UnfoldedDomain:
     """Unfolded domain; identity cover when d has no cracks."""
@@ -528,16 +540,9 @@ def unfold(d: ConicalDomain) -> UnfoldedDomain:
 
 
 def desingularize_boundary(d) -> UnfoldedDomain:
-    """The unfolded domain whose boundary meshes and strata are built.
-
-    An UnfoldedDomain is returned as given.  A crack-free ConicalDomain is
-    unfolded here (the identity cover); a cracked one raises DomainError,
-    since it must be unfolded first."""
-    if isinstance(d, UnfoldedDomain):
-        return d
-    if d.has_cracks:
-        raise DomainError("unresolved cracks: unfold the domain first")
-    return UnfoldedDomain(d)
+    """The unfolded domain whose boundary meshes and strata are built: an
+    UnfoldedDomain as given, a ConicalDomain unfolded here."""
+    return d if isinstance(d, UnfoldedDomain) else UnfoldedDomain(d)
 
 
 # -- smoothed distance to the vertex set ----------------------------------

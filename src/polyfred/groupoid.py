@@ -3,8 +3,10 @@
 The smooth boundary part carries the pair structure (compact operators); each
 vertex carries a dilation-invariant stratum on (component set)^2 x R+.  For a
 cracked domain the strata come in two families: ordinary vertices and the
-crack covers (one per unit of ramification).  The limit operator of c*I + K at a vertex stratum is a matrix
-Mellin convolution operator read off the edge-ends of the unfolded vertex:
+crack covers (one per unit of ramification).
+
+The limit operator of c*I + K at a vertex stratum is a matrix Mellin
+convolution operator read off the edge-ends of the unfolded vertex:
 every non-collinear pair of rays carries a ray-pair kernel, and twin crack
 faces carry a constant jump coupling, which has no integral-kernel
 representation.  The scalar part c is carried separately.
@@ -40,7 +42,6 @@ class VertexStratum:
 @dataclass(frozen=True)
 class GroupoidDescriptor:
     boundary_strata: tuple[VertexStratum, ...]
-    kind: str                        # "no_crack" | "crack"
 
     def stratum(self, vertex_id: str) -> VertexStratum:
         for s in self.boundary_strata:
@@ -48,17 +49,12 @@ class GroupoidDescriptor:
                 return s
         raise KeyError(vertex_id)
 
-    @property
-    def total_component_count(self) -> int:
-        return sum(s.size for s in self.boundary_strata)
-
 
 def build_groupoid(u: UnfoldedDomain) -> GroupoidDescriptor:
     """Enumerate the strata of the boundary structure of u: one per
-    unfolded vertex, of kind "crack" when u covers a cracked domain."""
-    strata = tuple(VertexStratum(uid, uv.labels, uv.family)
-                   for uid, uv in u.uvertices.items())
-    return GroupoidDescriptor(strata, "crack" if u.has_cracks else "no_crack")
+    unfolded vertex."""
+    return GroupoidDescriptor(tuple(VertexStratum(uid, uv.labels, uv.family)
+                                    for uid, uv in u.uvertices.items()))
 
 
 def orbit_representatives(G: GroupoidDescriptor):
@@ -105,15 +101,10 @@ class MellinOperator:
     d: np.ndarray                    # size x size ray angles in [0, 2*pi)
     side: np.ndarray                 # size x size integers in {-1, 0, +1}
     delta: np.ndarray                # size x size constant matrix
-    removable_flat: bool = False
 
     @property
     def size(self) -> int:
         return len(self.delta)
-
-    @property
-    def is_zero(self) -> bool:
-        return not np.any(self.delta) and not np.any(self.side)
 
     def apply(self, fvals: np.ndarray, tgrid: np.ndarray) -> np.ndarray:
         """Discrete action on samples over a log-uniform grid (trapezoid)."""
@@ -126,12 +117,6 @@ class MellinOperator:
             ker = RayPairKernel(self.d[i, j], self.side[i, j])
             out[i] += (ker(ratio, 1.0) @ fvals[j]) * du
         return out
-
-
-def zero_mellin_operator(vertex_id: str, size: int) -> MellinOperator:
-    return MellinOperator(vertex_id, np.zeros((size, size)),
-                          np.zeros((size, size), dtype=int),
-                          np.zeros((size, size)))
 
 
 def limit_operator(u: UnfoldedDomain, uid: str) -> MellinOperator:

@@ -22,6 +22,7 @@ from . import geometry
 from .geometry import (
     ConicalDomain,
     UnfoldedDomain,
+    desingularize_boundary,
     smoothed_distance,
     unfold,
 )
@@ -54,65 +55,6 @@ def np_kernel_point(x, y, nu_y) -> float:
     if r2 == 0.0:
         raise ValueError("kernel evaluated on the diagonal; use the smooth limit")
     return -float(diff @ nu_y) / (math.pi * r2)
-
-
-def _edge_normal(e, s, d, forward=True):
-    t = e.tangent(s, d)
-    if not forward:
-        t = -t
-    return np.array([t[1], -t[0]])
-
-
-def _locate_on_edge(e, d, y):
-    """(param s, squared distance) of the closest point of edge e to y."""
-    y = np.asarray(y, dtype=float)
-    if e.kind == "line":
-        a = d.vertex(e.v_from).pos
-        b = d.vertex(e.v_to).pos
-        ab = b - a
-        s = float(np.clip((y - a) @ ab / (ab @ ab), 0.0, 1.0))
-    else:
-        c = np.asarray(e.params["center"], dtype=float)
-        th = math.atan2(y[1] - c[1], y[0] - c[0])
-        t0 = float(e.params["theta_start"])
-        dt = float(e.params["theta_end"]) - t0
-        s = ((th - t0) / dt) % (2.0 * math.pi / abs(dt)) if dt else 0.0
-        s = float(np.clip(s, 0.0, 1.0))
-    p = e.point(s, d)
-    return s, float(((y - p) ** 2).sum())
-
-
-def np_kernel(d: ConicalDomain, x, y, face: int = 0) -> float:
-    """Kernel value at (x, y) with y located on the boundary of d.
-
-    y is projected onto the nearest edge to recover the outer normal.  On a
-    crack edge the two faces carry opposite normals; ``face`` selects the
-    sheet (0: normal of the forward traversal, 1: opposite).  x on the same
-    straight edge as y gives exactly 0; x = y raises.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    best = None
-    for e in d.edges.values():
-        s, dist2 = _locate_on_edge(e, d, y)
-        if best is None or dist2 < best[2]:
-            best = (e, s, dist2)
-    e, s, dist2 = best
-    if dist2 > 1e-18:
-        raise ValueError("y is not a boundary point")
-    for vid in (e.v_from, e.v_to):
-        if vid is not None and np.allclose(y, d.vertex(vid).pos, atol=1e-14):
-            raise ValueError("normal undefined at a vertex")
-    if e.crack:
-        forward = face == 0
-    else:
-        forward = next(fwd for eid, fwd in d.loop if eid == e.id)
-    nu = _edge_normal(e, s, d, forward)
-    if e.kind == "line":
-        sx, dx2 = _locate_on_edge(e, d, x)
-        if dx2 < 1e-18:
-            return 0.0
-    return np_kernel_point(x, y, nu)
 
 
 # -- graded boundary meshes ------------------------------------------------
@@ -230,8 +172,7 @@ def graded_mesh(u: UnfoldedDomain, n: int = 16, q: float = 0.5,
 
 
 def _mesh_for(d, n: int, q: float, n_c: int) -> BoundaryMesh:
-    return graded_mesh(d if isinstance(d, UnfoldedDomain) else unfold(d),
-                       n, q, n_c)
+    return graded_mesh(desingularize_boundary(d), n, q, n_c)
 
 
 # -- Nystrom assembly ------------------------------------------------------
@@ -484,9 +425,6 @@ class StudyResult:
     trend: str                       # "bounded-below" | "decaying" | "inconclusive"
     slope: float | None              # None when the finest sigma is rounding level
     deflate: int
-
-    def table(self):
-        return list(self.rows)
 
 
 def weighted_discrete_operator(d, c: float, a: float, mesh: BoundaryMesh

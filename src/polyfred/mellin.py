@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate, optimize
 
-from .groupoid import MellinOperator, RayPairKernel, zero_mellin_operator
+from .groupoid import MellinOperator, RayPairKernel
 
 QUAD_ABS_TOL = 1e-10
 SCAN_TOL = 1e-8
@@ -85,15 +85,11 @@ def wedge_np_kernel(theta: float) -> MellinOperator:
     """Limit double layer operator at an infinite wedge of opening theta.
 
     2x2 with zero diagonal (straight edges) and equal off-diagonal kernels
-    kappa(t) = (sin theta / pi) t / (t^2 - 2 t cos theta + 1).  theta = pi
-    gives the zero operator (removable flat vertex, flagged).
+    kappa(t) = (sin theta / pi) t / (t^2 - 2 t cos theta + 1).  At
+    theta = pi (a flat vertex) the closed-form symbol is exactly 0.
     """
     if not 0.0 < theta < 2.0 * math.pi:
         raise MellinError(f"wedge opening {theta} outside (0, 2*pi)")
-    if abs(theta - math.pi) < 1e-14:
-        op = zero_mellin_operator("wedge", 2)
-        return MellinOperator(op.vertex_id, op.d, op.side, op.delta,
-                              removable_flat=True)
     ker = ray_pair_kernel(0.0, theta, -1)
     d = np.array([[0.0, ker.d], [ker.d, 0.0]])
     side = np.array([[0, ker.side], [ker.side, 0]])
@@ -360,17 +356,17 @@ def admissible_weight_window(op: MellinOperator, c: float,
                              tol: float = SCAN_TOL,
                              xi_max: float = XI_MAX_DEFAULT
                              ) -> tuple[float, float] | None:
-    """Maximal interval (lo, hi) of weights a around the reference on which
-    the line symbol is invertible, or None when there is no such interval.
+    """Interval (lo, hi) of weights a around the reference, bounded by the
+    nearest symbol zeros on the imaginary axis, or None when the scan of
+    the reference line fails (c*I + J singular at a crack tip, or a zero it
+    finds on that line).  The ends are roots of the determinant of
+    c*I + symbol, which is real on that axis, refined to 1e-6.
 
-    That happens when the symbol is singular on the reference line itself:
-    c*I + J singular at a crack tip, or a symbol zero on the reference line.
-    Otherwise the symbol degenerates only where the line crosses a symbol
-    zero; for the real kernels here those zeros sit on the imaginary axis,
-    where the determinant of c*I + symbol is real.  Endpoints are the
-    nearest determinant roots around gamma(0), refined to 1e-6, and the
-    interior is cross-checked by invertibility scans (which also catch any
-    degeneracy away from the imaginary axis).
+    Zeros off the axis are not located.  For 0 < |c| < (pi - theta)/pi a
+    corner symbol has real zeros xi != 0, on the reference line a = 0 too,
+    and the window can contain that line: the square at c = 0.37 gets
+    (-0.98, 0.98), yet its symbol is singular at a = 0, xi = 0.519.  The
+    seven interior scans find such a zero only if it lies on their lines.
     """
     lo_s, hi_s = validity_strip(op)
     pad = 2e-2
@@ -394,8 +390,8 @@ def admissible_weight_window(op: MellinOperator, c: float,
     w_lo = max(below) if below else g_lo
     w_hi = min(above) if above else g_hi
 
-    # scan verification on interior samples; shrink if a zero off the
-    # imaginary axis shows up (not observed for the kernels here)
+    # scans on interior lines; they shrink the window only when a zero off
+    # the imaginary axis lies on one of these lines
     for gam in np.linspace(w_lo, w_hi, 9)[1:-1]:
         if not invertibility_scan(op, c, line_offset(gam), xi_max=xi_max,
                                   tol=tol).invertible:

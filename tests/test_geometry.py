@@ -1,5 +1,6 @@
 """Domain parsing, vertex analysis, unfolding, and distance functions."""
 
+import json
 import math
 
 import numpy as np
@@ -33,17 +34,18 @@ def test_fixtures_parse(name):
     assert d.loop, "every domain has an outer boundary loop"
 
 
-def test_parse_accepts_dict_and_json_text():
+def test_parse_accepts_dict_and_path(tmp_path):
     doc = {"vertices": [{"id": "a", "x": 0, "y": 0},
                         {"id": "b", "x": 1, "y": 0},
                         {"id": "c", "x": 0, "y": 1}],
            "edges": [{"id": "e0", "from": "a", "to": "b"},
                      {"id": "e1", "from": "b", "to": "c"},
                      {"id": "e2", "from": "c", "to": "a"}]}
-    d1 = parse_domain(doc)
-    import json
-    d2 = parse_domain(json.dumps(doc))
+    path = tmp_path / "triangle.json"
+    path.write_text(json.dumps(doc))
+    d1, d2 = parse_domain(doc), parse_domain(str(path))
     assert set(d1.vertices) == set(d2.vertices) == {"a", "b", "c"}
+    assert d1.loop == d2.loop
 
 
 def test_duplicate_ids_rejected():
@@ -286,15 +288,15 @@ def test_ramification_totals(name, alpha, m_prime):
 
 
 def test_desingularize_boundary_crack_gate(square, slit_square):
-    # an unfolded domain is used as given, a crack-free one is unfolded,
-    # and a cracked one must be unfolded first
+    # an unfolded domain is used as given, and any other is unfolded here,
+    # a cracked one included: no crack gate is left
     u = unfold(slit_square)
     assert desingularize_boundary(u) is u
-    m = desingularize_boundary(square)
-    assert isinstance(m, UnfoldedDomain) and m.base is square
-    assert list(m.uvertices) == list(unfold(square).uvertices)
-    with pytest.raises(DomainError, match="unfold"):
-        desingularize_boundary(slit_square)
+    for d in (square, slit_square):
+        m = desingularize_boundary(d)
+        assert isinstance(m, UnfoldedDomain) and m.base is d
+        assert list(m.uvertices) == list(unfold(d).uvertices)
+        assert list(m.uedges) == list(unfold(d).uedges)
 
 
 # -- smoothed distance -----------------------------------------------------
