@@ -9,7 +9,7 @@ by a scan with an explicit tail majorant.
 
 Every kernel of a vertex stratum is a ray-pair kernel whose transform has a
 closed form (``ray_pair_symbol``); the scans, their tail bound and the
-determinant roots use it.  Quadrature (``mellin_transform``) is the
+window search use it.  Quadrature (``mellin_transform``) is the
 reference the closed form is tested against.
 """
 
@@ -179,6 +179,13 @@ def _line_samples(op: MellinOperator, gamma, xi) -> np.ndarray:
     return op.delta + ray_pair_symbol(op.d, op.side, lam[:, None, None])
 
 
+def _det(op: MellinOperator, c: float, lam) -> np.ndarray:
+    """det(c*I + symbol) at an array of lam of any shape."""
+    lam = np.asarray(lam, dtype=complex)
+    return np.linalg.det(c * np.eye(op.size) + _line_samples(
+        op, lam.imag.ravel(), lam.real.ravel())).reshape(lam.shape)
+
+
 def tail_majorant(op: MellinOperator, xi: float) -> float:
     """Bound on the Frobenius norm of the kernel part of the symbol at every
     lam with |Re lam| >= xi > 0 and |Im lam| < 1; it decreases in xi.
@@ -233,8 +240,7 @@ def symbol_on_line(op: MellinOperator, c: float, a: float,
     # three rounds of local refinement around the current minimum
     for _ in range(3):
         i = int(np.argmin(sig))
-        a = xi[max(0, i - 1)]
-        b = xi[min(len(xi) - 1, i + 1)]
+        a, b = xi[max(0, i - 1)], xi[min(len(xi) - 1, i + 1)]
         if b - a < 1e-12:
             break
         fine = np.linspace(a, b, 21)
@@ -242,6 +248,12 @@ def symbol_on_line(op: MellinOperator, c: float, a: float,
         sig = np.concatenate([sig, sigma_min(fine)])
         order = np.argsort(xi)
         xi, sig = xi[order], sig[order]
+    if gamma == 0.0:
+        # the symbol is real here: brentq adds the zeros where det changes sign
+        s = np.sign(_det(op, c, xi).real)
+        roots = [optimize.brentq(lambda x: _det(op, c, x).real, *xi[i:i + 2])
+                 for i in np.flatnonzero(s[:-1] * s[1:] < 0)]
+        xi, sig = np.append(xi, roots), np.append(sig, sigma_min(roots))
     return LineSamples(xi, sig)
 
 
@@ -276,8 +288,7 @@ def invertibility_scan(op: MellinOperator, c: float, a: float,
     check_scan_settings(tol, xi_max)
     samples = symbol_on_line(op, c, a, _base_grid(xi_max))
     i = int(np.argmin(samples.sigma_min))
-    margin = float(samples.sigma_min[i])
-    witness = float(samples.xi[i])
+    margin, witness = float(samples.sigma_min[i]), float(samples.xi[i])
     if margin <= tol:
         return ScanResult(False, margin, witness, xi_max)
 
@@ -296,8 +307,7 @@ def invertibility_scan(op: MellinOperator, c: float, a: float,
         extra = symbol_on_line(op, c, a, np.linspace(cur, nxt, 160))
         j = int(np.argmin(extra.sigma_min))
         if extra.sigma_min[j] < margin:
-            margin = float(extra.sigma_min[j])
-            witness = float(extra.xi[j])
+            margin, witness = float(extra.sigma_min[j]), float(extra.xi[j])
             if margin <= tol:
                 return ScanResult(False, margin, witness, nxt)
         cur = nxt
@@ -306,49 +316,34 @@ def invertibility_scan(op: MellinOperator, c: float, a: float,
 
 # -- admissible weight windows --------------------------------------------
 
-def line_determinant(op: MellinOperator, c: float, gamma):
-    """det(c*I + symbol) on the imaginary axis lam = i*gamma, for a scalar
-    gamma (returns a float) or an array of them (returns an array).
-
-    Real kernels give a real matrix there, so the determinant is real and
-    vanishes at the symbol zeros that bound weight windows.
+def _windings(op: MellinOperator, c: float, gammas, xi: np.ndarray):
+    """Winding numbers of det(c*I + symbol) on the lines Im(lam) = gamma
+    (nan where unresolved), and the lam of the smallest |det| on each line.
+    det is real at xi = 0 and at infinity and conjugate at -xi, so a
+    winding is the turn of arg det over xi >= 0 over pi, sampled on the
+    grid xi and refined until |det| changes by at most half (pi/6) between
+    neighbours.  Past the grid the tail majorant is below sigma_min(A),
+    A = c*I + delta: arg det turns on by minus the args of the eigenvalues
+    of A^-1 (A + K), each in (-pi/2, pi/2).
     """
-    g = np.asarray(gamma, dtype=float)
-    mats = c * np.eye(op.size) + _line_samples(op, g, np.zeros_like(g))
-    dets = np.linalg.det(mats).real
-    return float(dets[0]) if g.ndim == 0 else dets
-
-
-def _axis_roots(op: MellinOperator, c: float, grid: np.ndarray,
-                tol: float, xtol: float) -> list[float]:
-    """Zeros of the line determinant on a gamma grid: sign changes refined
-    by brentq, and zeros that touch 0 without crossing, found as minima of
-    |det| at or below tol (relative to the largest |det| on the grid).
-
-    A touching zero between two nodes leaves |det| of order h^2 at the
-    nearest node, so only local minima below 1e-3 of the scale are refined.
-    """
-    dets = line_determinant(op, c, grid)
-    absd = np.abs(dets)
-    scale = max(1.0, float(np.max(absd)))
-    roots = []
-    for i in range(len(grid) - 1):
-        if dets[i] == 0.0:
-            roots.append(float(grid[i]))
-        elif dets[i] * dets[i + 1] < 0:
-            roots.append(float(optimize.brentq(
-                lambda g: line_determinant(op, c, g), grid[i], grid[i + 1],
-                xtol=xtol)))
-        elif i > 0 and dets[i - 1] * dets[i + 1] > 0 \
-                and absd[i - 1] > absd[i] <= absd[i + 1] \
-                and absd[i] <= 1e-3 * scale:
-            res = optimize.minimize_scalar(
-                lambda g: abs(line_determinant(op, c, g)),
-                bounds=(grid[i - 1], grid[i + 1]), method="bounded",
-                options={"xatol": 1e-3 * xtol})
-            if res.fun <= tol * scale:
-                roots.append(float(res.x))
-    return roots
+    gam, xi_end = np.asarray(gammas, dtype=float)[:, None], xi[-1]
+    f = _det(op, c, xi + 1j * gam)
+    for _ in range(50):
+        rough = np.abs(np.diff(f)) > 0.5 * np.minimum(np.abs(f[:, 1:]),
+                                                      np.abs(f[:, :-1]))
+        if not rough.any():
+            break
+        mid = np.linspace(xi[:-1], xi[1:], 9)[1:-1, rough.any(axis=0)].ravel()
+        order = np.argsort(np.concatenate([xi, mid]), kind="stable")
+        xi = np.concatenate([xi, mid])[order]
+        f = np.concatenate([f, _det(op, c, mid + 1j * gam)], axis=1)[:, order]
+    eye = c * np.eye(op.size)
+    far = np.linalg.solve(eye + op.delta,
+                          eye + _line_samples(op, gam[:, 0], xi_end))
+    turn = np.angle(f[:, 1:] * f[:, :-1].conj()).sum(axis=1) \
+        - np.angle(np.linalg.eigvals(far)).sum(axis=1)
+    return np.where(rough.any(axis=1), np.nan, np.round(turn / math.pi)), \
+        xi[np.argmin(np.abs(f), axis=1)] + 1j * gam[:, 0]
 
 
 def admissible_weight_window(op: MellinOperator, c: float,
@@ -356,48 +351,52 @@ def admissible_weight_window(op: MellinOperator, c: float,
                              tol: float = SCAN_TOL,
                              xi_max: float = XI_MAX_DEFAULT
                              ) -> tuple[float, float] | None:
-    """Interval (lo, hi) of weights a around the reference, bounded by the
-    nearest symbol zeros on the imaginary axis, or None when the scan of
-    the reference line fails (c*I + J singular at a crack tip, or a zero it
-    finds on that line).  The ends are roots of the determinant of
-    c*I + symbol, which is real on that axis, refined to 1e-6.
-
-    Zeros off the axis are not located.  For 0 < |c| < (pi - theta)/pi a
-    corner symbol has real zeros xi != 0, on the reference line a = 0 too,
-    and the window can contain that line: the square at c = 0.37 gets
-    (-0.98, 0.98), yet its symbol is singular at a = 0, xi = 0.519.  The
-    seven interior scans find such a zero only if it lies on their lines.
+    """Interval (lo, hi) of weights a around the reference whose lines hold
+    no zero of det(c*I + symbol), or None when the scan of the reference
+    line fails (c*I + J singular at a crack tip, or a zero on that line).
+    det is analytic on the strip and tends to det(c*I + delta), so its
+    winding along Im(lam) = gamma changes where the line crosses a zero,
+    always in one direction (argument principle), and bisection on the
+    winding brackets an end to 2e-3.  Newton on det, in a form (and with
+    differences) fit for multiple zeros, starts from the least |det| on the
+    outer line.  The windings stop where the reference scan's tail
+    bound holds.  The symbol is even: around a = 0 one end mirrors the other.
     """
     lo_s, hi_s = validity_strip(op)
-    pad = 2e-2
-    gs = sorted(min(max(line_offset(a), lo_s + pad), hi_s - pad)
-                for a in search)
-    g_lo, g_hi = gs
+    g_lo, g_hi = sorted(min(max(line_offset(a), lo_s + 2e-2), hi_s - 2e-2)
+                        for a in search)
     if g_hi - g_lo <= 0:
         raise MellinError("empty weight search interval after strip clipping")
-
-    g_ref = line_offset(0.0)
-    if not g_lo <= g_ref <= g_hi:
-        g_ref = 0.5 * (g_lo + g_hi)
-    if not invertibility_scan(op, c, line_offset(g_ref), xi_max=xi_max,
-                              tol=tol).invertible:
+    g_ref = line_offset(0.0) if g_lo <= 0.0 <= g_hi else 0.5 * (g_lo + g_hi)
+    ref = invertibility_scan(op, c, line_offset(g_ref), xi_max=xi_max, tol=tol)
+    if not ref.invertible:
         return None
+    grid = _base_grid(ref.xi_max_used)
 
-    roots = _axis_roots(op, c, np.linspace(g_lo, g_hi, 241), tol,
-                        ENDPOINT_TOL)
-    below = [r for r in roots if r < g_ref]
-    above = [r for r in roots if r > g_ref]
-    w_lo = max(below) if below else g_lo
-    w_hi = min(above) if above else g_hi
+    def nearest_zero_line(g1):
+        # Im of the zero nearest to the reference line on the way to g1
+        (w0, w1), z = _windings(op, c, [g_ref, g1], grid)
+        if w1 == w0:
+            return g1
+        lo, hi, lam, h = g_ref, g1, z[1], 1e-4
+        while abs(hi - lo) > 2e-3:
+            mid = 0.5 * (lo + hi)
+            (w,), (z,) = _windings(op, c, [mid], grid)
+            lo, hi, lam = (mid, hi, lam) if w == w0 else (lo, mid, z)
+        for _ in range(40):
+            fm, f0, fp = _det(op, c, [lam - h, lam, lam + h]).tolist()
+            d1, d2 = (fp - fm) / (2.0 * h), (fp - 2.0 * f0 + fm) / (h * h)
+            step = f0 * d1 / (d1 * d1 - f0 * d2) if f0 else 0.0
+            lam, h = lam - step, min(1e-4, max(abs(step), 1e-6))
+            if abs(step) <= 1e-13:
+                break
+        if abs(2.0 * lam.imag - lo - hi) > abs(hi - lo) + 2.0 * ENDPOINT_TOL:
+            raise MellinError(f"Newton left the bracket ({lo}, {hi}) at {lam}")
+        return lam.imag
 
-    # scans on interior lines; they shrink the window only when a zero off
-    # the imaginary axis lies on one of these lines
-    for gam in np.linspace(w_lo, w_hi, 9)[1:-1]:
-        if not invertibility_scan(op, c, line_offset(gam), xi_max=xi_max,
-                                  tol=tol).invertible:
-            if gam < g_ref:
-                w_lo = max(w_lo, gam)
-            else:
-                w_hi = min(w_hi, gam)
-
+    if g_ref == 0.0:
+        end = nearest_zero_line(max(-g_lo, g_hi))
+        w_lo, w_hi = max(g_lo, -end), min(g_hi, end)
+    else:
+        w_lo, w_hi = nearest_zero_line(g_lo), nearest_zero_line(g_hi)
     return (float(line_offset(w_hi)), float(line_offset(w_lo)))

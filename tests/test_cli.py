@@ -13,7 +13,9 @@ from click.testing import CliRunner
 from polyfred import layerpot, mellin
 from polyfred.cli import ExprError, main, parse_boundary_data
 
-from conftest import ALL_DOMAINS, domain_path
+from conftest import ALL_DOMAINS, CRACK_DOMAINS, domain_path
+
+CRACK_FREE_DOMAINS = tuple(n for n in ALL_DOMAINS if n not in CRACK_DOMAINS)
 
 
 @pytest.fixture()
@@ -241,8 +243,10 @@ def test_window_rejects_empty_search_range(runner, name, a_min, a_max):
 
 
 # Vertices with no admissible weight at all: crack tips at c = +-1, where
-# c*I + J is singular, and right-angle strata at c = 1/2, where a symbol
-# zero touches the reference line a = 0 (so the square's window is empty).
+# c*I + J is singular, and corners whose symbol has a zero on the reference
+# line a = 0.  A corner of angle theta has one for 0 < |c| <= |pi-theta|/pi:
+# right (and 3pi/2) angles at c = 1/2 (a zero touching xi = 0) and at
+# c = 0.37 (a real zero xi != 0), but not the hexagon's at c = 0.37 > 1/3.
 EMPTY_WINDOWS = {
     1.0: {"slit_square": {"p#c0", "t#c0"}, "slit_disk": {"t#c0"},
           "tcrack_square": {"t1#c0", "t2#c0", "t3#c0"}},
@@ -253,6 +257,9 @@ EMPTY_WINDOWS = {
           "tcrack_square": {"a", "b", "c", "d", "j#c0", "j#c1"}},
 }
 EMPTY_WINDOWS[-1.0] = EMPTY_WINDOWS[1.0]
+# crack-free fixtures only: crack junction strata are left unpinned here
+EMPTY_WINDOWS[0.37] = {"square": {"a", "b", "c", "d"},
+                       "lshape": {"v0", "v1", "v2", "v3", "v4", "v5"}}
 
 
 def _no_constants(name):
@@ -260,8 +267,9 @@ def _no_constants(name):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("c", (1.0, -1.0, 0.5))
-@pytest.mark.parametrize("name", ALL_DOMAINS)
+@pytest.mark.parametrize("name,c", [(n, c) for c in (1.0, -1.0, 0.5)
+                                    for n in ALL_DOMAINS]
+                         + [(n, 0.37) for n in CRACK_FREE_DOMAINS])
 def test_window_matrix(runner, name, c):
     res = runner.invoke(main, ["window", domain_path(name), "--c", repr(c)])
     assert res.exit_code == 0
@@ -329,12 +337,6 @@ def test_window_builds_each_limit_operator_once(runner, monkeypatch, name):
     assert built == dict.fromkeys(json.loads(res.stdout)["per_vertex"], 1)
 
 
-# Off the imaginary axis the window search sees a symbol zero only by
-# chance.  At c = 0.37 the square's corner symbol is singular on the
-# reference line a = 0 (at xi = 0.519, where 0.37 < (pi - pi/2)/pi), yet
-# the window is (-0.98, 0.98) and the verdict at a = 0 is inconclusive.
-
-@pytest.mark.xfail(strict=True, reason="window ignores the zero on a = 0")
 def test_window_empty_with_zero_on_reference_line(runner):
     res = runner.invoke(main, ["window", domain_path("square"),
                                "--c", "0.37"])
@@ -342,7 +344,6 @@ def test_window_empty_with_zero_on_reference_line(runner):
     assert json.loads(res.stdout)["global_window"] is None
 
 
-@pytest.mark.xfail(strict=True, reason="verdict misses the zero on a = 0")
 def test_analyze_not_fredholm_with_zero_on_reference_line(runner):
     res = runner.invoke(main, ["analyze", domain_path("square"),
                                "--c", "0.37", "--a", "0"])

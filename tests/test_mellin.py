@@ -27,7 +27,6 @@ from polyfred.mellin import (
     _line_samples,
     admissible_weight_window,
     invertibility_scan,
-    line_determinant,
     line_offset,
     mellin_transform,
     ray_pair_symbol,
@@ -141,15 +140,6 @@ def test_closed_form_near_zero(d):
     assert np.allclose(got[:5], limit, rtol=1e-15, atol=0.0)
 
 
-def test_line_determinant_vectorized():
-    op = wedge_np_kernel(2.0 * math.pi / 3)
-    grid = np.linspace(-0.9, 0.9, 31)
-    dets = line_determinant(op, 0.75, grid)
-    assert dets.shape == grid.shape
-    assert np.allclose(dets, [line_determinant(op, 0.75, g) for g in grid],
-                       rtol=0.0, atol=1e-15)
-
-
 def test_window_empty_when_reference_is_singular():
     # c = 1/2 at a right angle: det(c + K(i*gamma)) touches 0 at gamma = 0
     assert admissible_weight_window(wedge_np_kernel(math.pi / 2), 0.5) is None
@@ -170,10 +160,13 @@ def test_window_ends_at_touching_zero():
                             np.zeros((4, 4)))
     c = 0.75
     grid = np.linspace(-0.98, 0.98, 241)
-    dets = line_determinant(double, c, grid)
-    assert np.all(dets >= 0.0)
-    assert np.allclose(dets, line_determinant(wedge, c, grid) ** 2,
-                       rtol=1e-12, atol=1e-15)
+
+    def det(op):
+        return np.linalg.det(c * np.eye(op.size)
+                             + _line_samples(op, grid, 0.0 * grid)).real
+
+    assert np.all(det(double) >= 0.0)
+    assert np.allclose(det(double), det(wedge) ** 2, rtol=1e-12, atol=1e-15)
     lo, hi = admissible_weight_window(double, c)
     want = admissible_weight_window(wedge, c)
     assert abs(lo - want[0]) <= 1e-9 and abs(hi - want[1]) <= 1e-9
@@ -245,13 +238,16 @@ def test_conjugate_symmetry(xi, gamma, theta):
     assert np.max(np.abs(b - np.conj(a))) <= 1e-10
 
 
-def test_line_determinant_real_and_even():
-    op = wedge_np_kernel(math.pi / 2)
-    for c in (1.0, -1.0):
-        for g in (0.0, 0.3, -0.3):
-            d = line_determinant(op, c, g)
-            assert isinstance(d, float)
-            assert math.isclose(d, line_determinant(op, c, -g), abs_tol=1e-9)
+def test_symbol_real_on_axes_and_even():
+    # the zero check on the reference line a = 0 needs a real symbol there,
+    # and the window search mirrors one end because the symbol is even
+    t = np.linspace(-3.0, 3.0, 13)
+    lams = np.concatenate([t, 0.3j * t, [0.4 + 0.3j, -1.2 - 0.6j, 5.0 + 0.9j]])
+    for name, op in _stratum_operators():
+        sym = _line_samples(op, lams.imag, lams.real)
+        assert np.max(np.abs(
+            sym - _line_samples(op, -lams.imag, -lams.real))) <= 1e-14
+        assert np.max(np.abs(sym[:26].imag)) <= 1e-14, (name, op.vertex_id)
 
 
 # -- scans ------------------------------------------------------------------
@@ -367,3 +363,68 @@ def test_weight_line_defaults():
     assert json.loads(res.stdout)["line_offset"] == -0.25
     assert line_offset(-0.5) == 0.5
     assert math.copysign(1.0, line_offset(0.0)) == 1.0
+
+
+# -- windows against an independent winding-number oracle -------------------
+#
+# The oracle builds det(c*I + delta + K(lam)) from side*sinh((pi-d) lam) /
+# sinh(pi lam) as written, on a dense uniform xi grid, and shares no code
+# with the window search.  By the argument principle the winding along the
+# line Im(lam) = gamma changes exactly where the line crosses a zero.
+
+ORACLE_XI = np.linspace(0.0, 20.0, 5001)        # kernel part < 1e-13 at 20
+ORACLE_LINES = np.linspace(-0.925, 0.925, 38)   # 0.05 apart, off 0 and 1/2
+
+
+def _oracle_det(op, c, lam):
+    lam = np.asarray(lam)[..., None, None]
+    kernel = op.side * np.sinh((math.pi - op.d) * lam) / np.sinh(math.pi * lam)
+    return np.linalg.det(c * np.eye(op.size) + op.delta + kernel)
+
+
+def _oracle_windings(op, c, gammas, centre=None):
+    """Windings of the oracle det on the lines Im(lam) = gamma, over
+    xi >= 0 (the other half is its conjugate).  centre adds samples 5e-7
+    apart within 2e-3 of it, for lines within 1e-6 of a zero there."""
+    xi = ORACLE_XI if centre is None else np.union1d(
+        ORACLE_XI, np.abs(centre + np.linspace(-2e-3, 2e-3, 8001)))
+    f = _oracle_det(op, c, xi + 1j * np.asarray(gammas)[:, None])
+    turn = np.angle(f[:, 1:] / f[:, :-1])
+    assert np.max(np.abs(turn)) < math.pi / 2, "oracle grid too coarse"
+    far = np.linalg.det(c * np.eye(op.size) + op.delta)
+    wind = (turn.sum(axis=1) + np.angle(far / f[:, -1])) / math.pi
+    assert np.max(np.abs(wind - np.round(wind))) < 1e-6
+    return np.round(wind)
+
+
+def _zero_xi(op, c, gamma):
+    # xi of the smallest |det| on a line that holds a zero
+    dets = _oracle_det(op, c, ORACLE_XI + 1j * gamma)
+    return ORACLE_XI[np.argmin(np.abs(dets))]
+
+
+@pytest.mark.parametrize("c", (0.2, 0.37, -0.3, 0.5, 1.0))
+@pytest.mark.parametrize("name", ("square", "lshape", "hexagon"))
+def test_window_ends_where_the_winding_changes(name, c):
+    ops = {(op.d.tobytes(), op.side.tobytes(), op.delta.tobytes()): op
+           for op in limit_operators(parse_domain(domain_path(name))).values()}
+    for op in ops.values():
+        wind = _oracle_windings(op, c, ORACLE_LINES)
+        assert np.all(np.diff(wind) >= 0) or np.all(np.diff(wind) <= 0)
+        window = admissible_weight_window(op, c, (-1.2, 1.2))
+        if window is None:
+            # a zero within 1e-6 of the reference line: w(-g) = -w(g)
+            g = 1e-6
+            assert _oracle_windings(op, c, [g], _zero_xi(op, c, g))[0] != 0
+            continue
+        lo, hi = window
+        inside = (-hi < ORACLE_LINES) & (ORACLE_LINES < -lo)
+        assert np.all(wind[inside] == 0), (op.vertex_id, window)
+        for end in window:
+            if abs(end) >= 0.98 - 1e-12:
+                continue                  # the search range, not a zero
+            g = line_offset(end)
+            step = math.copysign(1e-6, g)
+            w_in, w_out = _oracle_windings(op, c, [g - step, g + step],
+                                           _zero_xi(op, c, g))
+            assert w_in == 0 and w_out != 0, (op.vertex_id, end)
