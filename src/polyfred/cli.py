@@ -246,33 +246,20 @@ def _interior_probe(sol, g, margin=0.2):
     """Evaluate the solution on a grid of interior points at distance
     >= margin from the boundary and compare against the boundary data
     extended harmonically (valid when g is the trace of the expression)."""
-    lo = sol.mesh.points.min(axis=0)
-    hi = sol.mesh.points.max(axis=0)
-    xs = np.linspace(lo[0], hi[0], 17)
-    ys = np.linspace(lo[1], hi[1], 17)
-    pts, errs = [], []
-    scale = max(1.0, float(np.max(np.abs(
-        [g(p[0], p[1]) for p in sol.mesh.points]))))
-    for x in xs:
-        for y in ys:
-            p = np.array([x, y])
-            dmin = float(np.min(np.linalg.norm(sol.mesh.points - p, axis=1)))
-            if dmin < margin:
-                continue
-            if not _inside(p, sol.mesh):
-                continue
-            val = sol(p)
-            ref = g(x, y)
-            pts.append((x, y))
-            errs.append(abs(val - ref) / scale)
-    return pts, errs
-
-
-def _inside(p, mesh) -> bool:
+    axes = np.linspace(sol.mesh.points.min(axis=0),
+                       sol.mesh.points.max(axis=0), 17).T
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
+    dmin = np.linalg.norm(grid[:, None] - sol.mesh.points,
+                          axis=-1).min(axis=1)
     # winding number: the double layer of the constant density is exactly
     # 2 inside the loop and 0 outside
-    val = float(layerpot.panel_potentials(p, mesh).sum())
-    return val > 1.0
+    inside = layerpot.panel_potentials(grid, sol.mesh).sum(axis=1) > 1.0
+    pts = grid[(dmin >= margin) & inside]
+    scale = max(1.0, float(np.max(np.abs(
+        [g(p[0], p[1]) for p in sol.mesh.points]))))
+    vals = sol(pts)
+    errs = [abs(v - g(x, y)) / scale for v, (x, y) in zip(vals, pts)]
+    return pts, errs
 
 
 @main.command()

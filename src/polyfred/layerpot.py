@@ -290,6 +290,12 @@ def _reference_window(d: ConicalDomain) -> tuple[float, float]:
     return (-geometry.theta0(angles), 0.5)
 
 
+def _check_finite(**values) -> None:
+    for name, v in values.items():
+        if not math.isfinite(v):
+            raise ValueError(f"{name} = {v} must be a finite number")
+
+
 def fredholm_verdict(d: ConicalDomain, c: float, a: float,
                      tol: float = mellin.SCAN_TOL,
                      xi_max: float = mellin.XI_MAX_DEFAULT) -> FredholmVerdict:
@@ -298,8 +304,10 @@ def fredholm_verdict(d: ConicalDomain, c: float, a: float,
     The operator is Fredholm exactly when it is elliptic (c != 0) and the
     limit symbol at every vertex stratum is invertible along the weight
     line.  Margins up to INCONCLUSIVE_MARGIN are reported, not resolved.
-    tol and xi_max are checked first, also on a domain without vertices.
+    c and a must be finite; they, tol and xi_max are checked first, also on
+    a domain without vertices.
     """
+    _check_finite(c=c, a=a)
     mellin.check_scan_settings(tol, xi_max)
     per_vertex = {vid: invertibility_scan(op, c, a, xi_max=xi_max, tol=tol)
                   for vid, op in limit_operators(d).items()}
@@ -333,36 +341,42 @@ def domain_windows(d: ConicalDomain, c: float,
                    search: tuple[float, float] = (-1.2, 1.2),
                    tol: float = mellin.SCAN_TOL,
                    xi_max: float = mellin.XI_MAX_DEFAULT) -> WindowReport:
-    """Admissible weight window per vertex stratum, intersected globally,
-    with the margin curve across the global window.
+    """Admissible weight window per vertex stratum, clipped to the search
+    range [a_min, a_max] and intersected globally, with the margin curve
+    across the global window.
 
-    The limit operators are built once (``limit_operators``) and serve both
-    the windows and the curve.  A vertex with no admissible weight gets the
-    window None and so does the global window.  A domain without vertices
-    is Fredholm on the whole search range.  The curve samples 21 weights
-    from 1e-3 inside the global window (clipped to the search range); each
-    row holds the weight and the margin and witness xi of the stratum with
-    the smallest margin there.  It is empty when there are no vertices or
-    no global window.  The search range (a_min, a_max) must be nonempty,
-    a_min < a_max; otherwise ValueError is raised before any scan, and so
-    is MellinError for a tol or xi_max that ``check_scan_settings`` rejects.
+    A stratum's window is the one around a = 0 (``admissible_weight_window``)
+    clipped to the search range, or None when nothing is left, and then so
+    is the global window; so it is at c = 0, where c*I + K is not elliptic.
+    Otherwise a domain without vertices is Fredholm on the whole search
+    range.  The limit operators are built once and serve both the windows
+    and the curve, which samples 21 weights from 1e-3 inside the global
+    window; each row holds the weight and the margin and witness xi of the
+    stratum with the smallest margin there.  c and the search range must be finite
+    and a_min < a_max, else ValueError is raised before any scan, and so is
+    MellinError for a tol or xi_max that ``check_scan_settings`` rejects.
     """
     a_min, a_max = search
+    _check_finite(c=c, a_min=a_min, a_max=a_max)
     if not a_min < a_max:
         raise ValueError(f"empty weight search range [{a_min}, {a_max}]: "
                          "a_min must be below a_max")
     mellin.check_scan_settings(tol, xi_max)
     ops = limit_operators(d)
-    per_vertex = {vid: admissible_weight_window(op, c, search, tol=tol,
-                                                xi_max=xi_max)
-                  for vid, op in ops.items()}
+    per_vertex = {}
+    for vid, op in ops.items():
+        # None is the empty interval (inf, -inf)
+        w = admissible_weight_window(op, c, tol=tol, xi_max=xi_max) \
+            or (math.inf, -math.inf)
+        lo, hi = max(a_min, w[0]), min(a_max, w[1])
+        per_vertex[vid] = (lo, hi) if lo < hi else None
     ends = list(per_vertex.values())
     lo = max([a_min] + [w[0] for w in ends if w])
     hi = min([a_max] + [w[1] for w in ends if w])
-    window = (lo, hi) if all(ends) and lo < hi else None
+    window = (lo, hi) if c != 0.0 and all(ends) and lo < hi else None
     curve = []
     if window and ops:
-        for a in np.linspace(max(a_min, lo + 1e-3), min(a_max, hi - 1e-3), 21):
+        for a in np.linspace(lo + 1e-3, hi - 1e-3, 21):
             worst = min((invertibility_scan(op, c, float(a), xi_max=xi_max,
                                             tol=tol) for op in ops.values()),
                         key=lambda r: r.margin)
@@ -381,9 +395,10 @@ class SolveResult:
     rhs_factor: float                # the system solved is (c I + A) phi = factor*g
 
     def __call__(self, z):
-        """Interior values of the scaled double layer potential."""
+        """Interior values of the scaled double layer potential: a float at
+        one point z, an array at an (M, 2) array of points."""
         vals = 0.5 * double_layer_potential(z, self.mesh, self.density)
-        return vals if vals.size > 1 else float(vals[0])
+        return vals if np.ndim(z) > 1 else float(vals[0])
 
 
 def solve_dirichlet(d: ConicalDomain, g, c: float = 1.0, a: float = 0.0,
@@ -524,8 +539,9 @@ def min_singular_value_study(d, c: float, a: float,
     by a residual computed with the matrix itself.  An uncertified value,
     an ARPACK error or non-finite output sends the mesh to the dense SVD
     (gesdd, then gesvd).  Values below ROUNDING_SIGMA are rounding level
-    with either method.
+    with either method.  c and a must be finite.
     """
+    _check_finite(c=c, a=a)
     if deflate < 0:
         raise ValueError("deflate must be >= 0")
     if len(mesh_sizes) < 2 or any(

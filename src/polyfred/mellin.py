@@ -347,56 +347,41 @@ def _windings(op: MellinOperator, c: float, gammas, xi: np.ndarray):
 
 
 def admissible_weight_window(op: MellinOperator, c: float,
-                             search: tuple[float, float] = (-1.5, 1.5),
                              tol: float = SCAN_TOL,
                              xi_max: float = XI_MAX_DEFAULT
                              ) -> tuple[float, float] | None:
-    """Interval (lo, hi) of weights a around the reference whose lines hold
-    no zero of det(c*I + symbol), or None when the scan of the reference
-    line fails (c*I + J singular at a crack tip, or a zero on that line).
-    det is analytic on the strip and tends to det(c*I + delta), so its
-    winding along Im(lam) = gamma changes where the line crosses a zero,
-    always in one direction (argument principle), and bisection on the
-    winding brackets an end to 2e-3.  Newton on det, in a form (and with
-    differences) fit for multiple zeros, starts from the least |det| on the
-    outer line.  The windings stop where the reference scan's tail
-    bound holds.  The symbol is even: around a = 0 one end mirrors the other.
+    """Interval (lo, hi) of weights around a = 0 whose lines hold no zero
+    of det(c*I + symbol), or None when the scan of the line a = 0 fails
+    (c*I + J singular at a crack tip, or a zero on that line).  det is
+    analytic on the strip and tends to det(c*I + delta), so its winding on
+    Im(lam) = gamma changes where the line crosses a zero, always in one
+    direction (argument principle).  Bisection on the winding brackets an
+    end to 2e-3, at most 2e-2 inside the validity strip; Newton on det (fit
+    for multiple zeros) starts from the least |det| on the outer line.
+    Windings stop where the reference scan's tail bound holds.  The symbol
+    is even: one end mirrors the other.
     """
-    lo_s, hi_s = validity_strip(op)
-    g_lo, g_hi = sorted(min(max(line_offset(a), lo_s + 2e-2), hi_s - 2e-2)
-                        for a in search)
-    if g_hi - g_lo <= 0:
-        raise MellinError("empty weight search interval after strip clipping")
-    g_ref = line_offset(0.0) if g_lo <= 0.0 <= g_hi else 0.5 * (g_lo + g_hi)
-    ref = invertibility_scan(op, c, line_offset(g_ref), xi_max=xi_max, tol=tol)
+    ref = invertibility_scan(op, c, 0.0, xi_max=xi_max, tol=tol)
     if not ref.invertible:
         return None
     grid = _base_grid(ref.xi_max_used)
-
-    def nearest_zero_line(g1):
-        # Im of the zero nearest to the reference line on the way to g1
-        (w0, w1), z = _windings(op, c, [g_ref, g1], grid)
-        if w1 == w0:
-            return g1
-        lo, hi, lam, h = g_ref, g1, z[1], 1e-4
-        while abs(hi - lo) > 2e-3:
-            mid = 0.5 * (lo + hi)
-            (w,), (z,) = _windings(op, c, [mid], grid)
-            lo, hi, lam = (mid, hi, lam) if w == w0 else (lo, mid, z)
-        for _ in range(40):
-            fm, f0, fp = _det(op, c, [lam - h, lam, lam + h]).tolist()
-            d1, d2 = (fp - fm) / (2.0 * h), (fp - 2.0 * f0 + fm) / (h * h)
-            step = f0 * d1 / (d1 * d1 - f0 * d2) if f0 else 0.0
-            lam, h = lam - step, min(1e-4, max(abs(step), 1e-6))
-            if abs(step) <= 1e-13:
-                break
-        if abs(2.0 * lam.imag - lo - hi) > abs(hi - lo) + 2.0 * ENDPOINT_TOL:
-            raise MellinError(f"Newton left the bracket ({lo}, {hi}) at {lam}")
-        return lam.imag
-
-    if g_ref == 0.0:
-        end = nearest_zero_line(max(-g_lo, g_hi))
-        w_lo, w_hi = max(g_lo, -end), min(g_hi, end)
-    else:
-        w_lo, w_hi = nearest_zero_line(g_lo), nearest_zero_line(g_hi)
-    return (float(line_offset(w_hi)), float(line_offset(w_lo)))
+    # the zero nearest to the reference line on the way to the strip's edge
+    edge = validity_strip(op)[1] - 2e-2
+    (w0, w1), z = _windings(op, c, [0.0, edge], grid)
+    if w1 == w0:
+        return (line_offset(edge), edge)
+    lo, hi, lam, h = 0.0, edge, z[1], 1e-4
+    while abs(hi - lo) > 2e-3:
+        mid = 0.5 * (lo + hi)
+        (w,), (z,) = _windings(op, c, [mid], grid)
+        lo, hi, lam = (mid, hi, lam) if w == w0 else (lo, mid, z)
+    for _ in range(40):
+        fm, f0, fp = _det(op, c, [lam - h, lam, lam + h]).tolist()
+        d1, d2 = (fp - fm) / (2.0 * h), (fp - 2.0 * f0 + fm) / (h * h)
+        step = f0 * d1 / (d1 * d1 - f0 * d2) if f0 else 0.0
+        lam, h = lam - step, min(1e-4, max(abs(step), 1e-6))
+        if abs(step) <= 1e-13:
+            break
+    if abs(2.0 * lam.imag - lo - hi) > abs(hi - lo) + 2.0 * ENDPOINT_TOL:
+        raise MellinError(f"Newton left the bracket ({lo}, {hi}) at {lam}")
+    return (float(line_offset(lam.imag)), float(lam.imag))

@@ -218,6 +218,22 @@ def test_scan_settings_checked_without_vertices(runner):
         assert res.stdout == ""
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("cmd,opt", [
+    ("analyze", "--c"), ("analyze", "--a"), ("window", "--c"),
+    ("window", "--a-min"), ("window", "--a-max"), ("study", "--c"),
+    ("study", "--a"), ("solve", "--c"), ("solve", "--a")])
+@pytest.mark.parametrize("name", ["square", "circle"])
+def test_non_finite_numbers_exit_three(runner, name, cmd, opt, value):
+    # c and the weights are checked by name before any scan or assembly
+    g = ["--g", "x"] if cmd == "solve" else []
+    res = runner.invoke(main, [cmd, domain_path(name), *g, opt, value])
+    assert res.exit_code == 3, res.output
+    assert res.stdout == ""
+    assert opt[2:].replace("-", "_") + " = " in res.stderr
+
+
 # -- window ----------------------------------------------------------------
 
 def test_window_square(runner):
@@ -230,6 +246,21 @@ def test_window_square(runner):
     assert abs(hi - 2.0 / 3.0) <= 1e-6
     assert rep["reference_window"][1] == 0.5
     assert rep["margin_curve"][0] == ["a", "margin", "witness_xi"]
+
+
+@pytest.mark.parametrize("a_min,a_max,want", [("-0.9", "-0.7", None),
+                                               ("-0.5", "0.5", [-0.5, 0.5]),
+                                               ("1.0", "1.2", None)])
+def test_window_clipped_to_search_range(runner, a_min, a_max, want):
+    # the square's window around a = 0 is (-2/3, 2/3); a range that misses
+    # it leaves no window, and that is an answer, not an error
+    res = runner.invoke(main, ["window", domain_path("square"),
+                               "--a-min", a_min, "--a-max", a_max])
+    assert res.exit_code == 0
+    rep = json.loads(res.stdout)
+    assert rep["global_window"] == want
+    assert list(rep["per_vertex"].values()) == [want] * 4
+    assert len(rep["margin_curve"]) == (22 if want else 1)
 
 
 @pytest.mark.parametrize("name", ["square", "circle"])
