@@ -255,8 +255,7 @@ def _interior_probe(sol, g, margin=0.2):
     # 2 inside the loop and 0 outside
     inside = layerpot.panel_potentials(grid, sol.mesh).sum(axis=1) > 1.0
     pts = grid[(dmin >= margin) & inside]
-    scale = max(1.0, float(np.max(np.abs(
-        [g(p[0], p[1]) for p in sol.mesh.points]))))
+    scale = max(1.0, float(np.max(np.abs(sol.g))))
     vals = sol(pts)
     errs = [abs(v - g(x, y)) / scale for v, (x, y) in zip(vals, pts)]
     return pts, errs

@@ -195,21 +195,22 @@ def panel_potentials(targets, mesh: BoundaryMesh) -> np.ndarray:
     return np.nan_to_num(ang / math.pi)
 
 
-def _weighted_kernel(targets: np.ndarray, mesh: BoundaryMesh) -> np.ndarray:
-    """k(x_i, y_j) w_j for targets x_i and the mesh nodes y_j.
+def _weighted_kernel(targets: np.ndarray, mesh: BoundaryMesh,
+                     out: np.ndarray) -> np.ndarray:
+    """Fill out (M, N) with k(x_i, y_j) w_j for targets x_i and the mesh
+    nodes y_j, and return it.
 
-    The x and y coordinate differences are separate (M, N) arrays updated
-    in place, so at most three such arrays are live.  A coincident pair
-    (r = 0) gets 0.
+    The x and y coordinate differences are two (M, N) temporaries updated
+    in place.  A coincident pair (r = 0) gets 0.
     """
     tx, ty = targets[:, 0], targets[:, 1]
     px, py = mesh.points[:, 0], mesh.points[:, 1]
     dx = np.subtract.outer(tx, px)
-    num = dx * mesh.normals[:, 0]
+    num = np.multiply(dx, mesh.normals[:, 0], out=out)
     r2 = dx
     r2 *= dx
     # dy is formed twice, once per product: a copy kept for the second
-    # product would be a fourth (M, N) array
+    # product would be a third temporary
     dy = np.subtract.outer(ty, py)
     dy *= mesh.normals[:, 1]
     num += dy
@@ -230,7 +231,38 @@ def double_layer_potential(targets, mesh: BoundaryMesh,
                            density: np.ndarray) -> np.ndarray:
     """Quadrature of the double layer potential of a nodal density."""
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    return _weighted_kernel(targets, mesh) @ np.asarray(density, dtype=float)
+    K = _weighted_kernel(targets, mesh, np.empty((len(targets), mesh.size)))
+    return K @ np.asarray(density, dtype=float)
+
+
+# entries per block temporary: at N = 1760 (one thread) the weighted
+# assembly took 91 ms at 2^12, 49-57 ms from 2^14 to 2^17, 69 ms at 2^20
+_BLOCK_ELEMENTS = 2 ** 16
+
+
+def _nystrom_matrix(mesh: BoundaryMesh, c: float = 0.0,
+                    D: np.ndarray | None = None) -> np.ndarray:
+    """A, or D (c I + A) D^{-1} when the diagonal D is given, built straight
+    into the result one block of rows at a time, with temporaries of about
+    _BLOCK_ELEMENTS entries that stay in cache."""
+    N = mesh.size
+    out = np.empty((N, N))
+    # a straight node's edge index; -1 on curved edges matches no node
+    straight_edge = np.where(mesh.straight, mesh.base_index, -1)
+    diag = mesh.curvatures * mesh.weights / (2.0 * math.pi)
+    step = max(1, _BLOCK_ELEMENTS // N)
+    for i0 in range(0, N, step):
+        i1 = min(i0 + step, N)
+        rows, k, twin = out[i0:i1], np.arange(i1 - i0), mesh.twin[i0:i1]
+        _weighted_kernel(mesh.points[i0:i1], mesh, rows)
+        rows[np.equal.outer(straight_edge[i0:i1], mesh.base_index)] = 0.0
+        # smooth diagonal limit k(x, x) = kappa(x) / (2 pi)
+        rows[k, i0 + k] = diag[i0:i1]
+        rows[k[twin >= 0], twin[twin >= 0]] -= 1.0
+        if D is not None:
+            rows[k, i0 + k] += c
+            rows *= np.divide.outer(D[i0:i1], D)
+    return out
 
 
 def assemble_np(d, mesh: BoundaryMesh) -> np.ndarray:
@@ -239,18 +271,10 @@ def assemble_np(d, mesh: BoundaryMesh) -> np.ndarray:
     A[i][j] = k(x_i, x_j) w_j with the pointwise kernel; entries between
     nodes of the same straight edge (including opposite crack faces) vanish
     identically, the diagonal uses the smooth curvature limit, and twin
-    crack sheets at coincident points carry the unit jump coupling.
+    crack sheets at coincident points carry the unit jump coupling.  It is
+    built in blocks of rows: besides A only small temporaries are live.
     """
-    A = _weighted_kernel(mesh.points, mesh)
-    for b in np.unique(mesh.base_index[mesh.straight]):
-        nodes = np.flatnonzero(mesh.base_index == b)
-        A[np.ix_(nodes, nodes)] = 0.0
-    # smooth diagonal limit k(x, x) = kappa(x) / (2 pi)
-    idx = np.arange(mesh.size)
-    A[idx, idx] = mesh.curvatures * mesh.weights / (2.0 * math.pi)
-    has_twin = mesh.twin >= 0
-    A[idx[has_twin], mesh.twin[has_twin]] -= 1.0
-    return A
+    return _nystrom_matrix(mesh)
 
 
 # -- Fredholm verdicts -----------------------------------------------------
@@ -393,6 +417,7 @@ class SolveResult:
     mesh: BoundaryMesh
     residual: float
     rhs_factor: float                # the system solved is (c I + A) phi = factor*g
+    g: np.ndarray                    # (N,) boundary data at the mesh nodes
 
     def __call__(self, z):
         """Interior values of the scaled double layer potential: a float at
@@ -429,7 +454,7 @@ def solve_dirichlet(d: ConicalDomain, g, c: float = 1.0, a: float = 0.0,
     residual = float(np.max(np.abs(sys @ phi - 2.0 * rhs)))
     if not residual <= SOLVE_RESIDUAL_TOL:          # NaN fails too
         raise ValueError(f"linear solve residual {residual:.2e} above tolerance")
-    return SolveResult(phi, mesh, residual, 2.0)
+    return SolveResult(phi, mesh, residual, 2.0, rhs)
 
 
 # -- singular value studies ------------------------------------------------
@@ -444,12 +469,11 @@ class StudyResult:
 
 def weighted_discrete_operator(d, c: float, a: float, mesh: BoundaryMesh
                                ) -> np.ndarray:
-    """D (c I + A) D^{-1} with D the diagonal realizing the weight-a pairing."""
-    B = assemble_np(d, mesh)
-    B[np.diag_indices_from(B)] += c
-    Ddiag = np.sqrt(mesh.weights) * mesh.r ** (-(0.5 + a))
-    B *= Ddiag[:, None] / Ddiag[None, :]
-    return B
+    """D (c I + A) D^{-1} with D the diagonal realizing the weight-a pairing,
+    assembled, shifted and scaled in blocks of rows: besides the result
+    only small temporaries are live."""
+    return _nystrom_matrix(mesh, c,
+                           np.sqrt(mesh.weights) * mesh.r ** (-(0.5 + a)))
 
 
 def _smallest_singular_values(B: np.ndarray, k: int) -> np.ndarray:

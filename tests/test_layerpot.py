@@ -263,18 +263,88 @@ def test_weighted_operator_bit_level(name, c):
     assert np.array_equal(weighted_discrete_operator(d, c, a, mesh), want)
 
 
-def test_weighted_operator_peak_memory(lshape):
-    # assembly and weighting work in place on N x N coordinate arrays: no
-    # (N, N, 2) difference array, no identity and no shifted copy
-    mesh = _mesh_for(lshape, 128, 0.5, 24)
-    N = mesh.size
+def _whole_matrix(mesh, c=None, a=None):
+    """The assembly as one N x N formula, without row blocks: A, or
+    D (c I + A) D^-1 when c and a are given."""
+    px, py = mesh.points[:, 0], mesh.points[:, 1]
+    dx = np.subtract.outer(px, px)
+    num = dx * mesh.normals[:, 0]
+    r2 = dx
+    r2 *= dx
+    dy = np.subtract.outer(py, py)
+    dy *= mesh.normals[:, 1]
+    num += dy
+    np.subtract.outer(py, py, out=dy)
+    dy *= dy
+    r2 += dy
+    degenerate = r2 == 0.0
+    r2[degenerate] = 1.0
+    r2 *= math.pi
+    num /= r2
+    num *= -mesh.weights
+    num[degenerate] = 0.0
+    A = num
+    for b in np.unique(mesh.base_index[mesh.straight]):
+        nodes = np.flatnonzero(mesh.base_index == b)
+        A[np.ix_(nodes, nodes)] = 0.0
+    idx = np.arange(mesh.size)
+    A[idx, idx] = mesh.curvatures * mesh.weights / (2.0 * math.pi)
+    has_twin = mesh.twin >= 0
+    A[idx[has_twin], mesh.twin[has_twin]] -= 1.0
+    if c is None:
+        return A
+    A[np.diag_indices_from(A)] += c
+    D = np.sqrt(mesh.weights) * mesh.r ** (-(0.5 + a))
+    A *= D[:, None] / D[None, :]
+    return A
+
+
+@pytest.mark.parametrize("name", ALL_DOMAINS)
+def test_blocked_assembly_matches_whole_matrix(name):
+    # one mesh within a single row block, and one over several blocks whose
+    # last block is partial (a circle mesh has n nodes, so it needs more)
+    d = pf.parse_domain(domain_path(name))
+    big = (300, 8) if name == "circle" else (64, 24)
+    for (n, n_c), one_block in (((8, 4), True), (big, False)):
+        mesh = _mesh_for(d, n, 0.5, n_c)
+        step = lp._BLOCK_ELEMENTS // mesh.size
+        assert mesh.size <= step if one_block else mesh.size % step > 0
+        assert np.array_equal(assemble_np(d, mesh), _whole_matrix(mesh))
+        for c in (1.0, -1.0, 0.5):
+            assert np.array_equal(weighted_discrete_operator(d, c, -0.25, mesh),
+                                  _whole_matrix(mesh, c, -0.25))
+
+
+def _peak_bytes(fn, *args):
     tracemalloc.start()
     try:
-        weighted_discrete_operator(lshape, 1.0, -0.25, mesh)
-        peak = tracemalloc.get_traced_memory()[1]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4.25 * 8 * N * N
+
+
+def test_weighted_operator_peak_memory(lshape):
+    # assembly, shift and weighting run on blocks of rows of the result:
+    # besides it only block-sized temporaries are live
+    mesh = _mesh_for(lshape, 128, 0.5, 24)
+    N = mesh.size
+    peak = _peak_bytes(weighted_discrete_operator, lshape, 1.0, -0.25, mesh)
+    assert peak <= 1.25 * 8 * N * N
+
+
+def test_assembly_peak_memory(lshape):
+    mesh = _mesh_for(lshape, 128, 0.5, 24)
+    N = mesh.size
+    assert _peak_bytes(assemble_np, lshape, mesh) <= 1.25 * 8 * N * N
+
+
+def test_study_peak_memory(lshape):
+    # per mesh only the weighted matrix and its LU factors are N x N, and
+    # the coarser mesh's are freed before the finer one is built
+    peak = _peak_bytes(min_singular_value_study, lshape, 1.0, -0.25, (64, 128))
+    N = _mesh_for(lshape, 128, 0.5, 24).size
+    assert peak <= 2.25 * 8 * N * N
 
 
 # -- verdicts --------------------------------------------------------------
