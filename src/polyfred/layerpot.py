@@ -479,20 +479,25 @@ def weighted_discrete_operator(d, c: float, a: float, mesh: BoundaryMesh
 def _smallest_singular_values(B: np.ndarray, k: int) -> np.ndarray:
     """The k smallest singular values of the square matrix B, ascending.
 
-    B is factored once by LU.  Lanczos (ARPACK, fixed start vector) finds
-    the largest eigenvalue 1/sigma^2 of x -> B^-T B^-1 x, k times in turn,
-    each time with the singular pairs found so far projected out on both
-    sides, so a repeated smallest singular value is found as often as it
-    occurs.  Its eigenvector u is a left singular vector, and v = B^-1 u
-    (orthogonal to the earlier v) the right one.  Each sigma is the Rayleigh
-    value u^T B v of B itself, and the residual r of the pair, also computed
-    with B, puts a singular value of B within r of it.  The values are kept
-    only when every r <= SIGMA_CERT_RTOL * sigma + ROUNDING_SIGMA.  Pivots
-    below eps * max|U_ii| (the crack operators at c = +-1 are exactly
-    singular) are set to +-eps * max|U_ii|, a rounding-size backward
-    perturbation like the dense SVD's own.  A failed certificate, an ARPACK
-    error (no convergence included) or non-finite output falls back to the
-    dense SVD: gesdd, then gesvd if gesdd fails.
+    B is factored once by LU.  Pivots below eps * max|U_ii| (the crack
+    operators at c = +-1 are exactly singular) are set to +-eps * max|U_ii|,
+    a rounding-size backward perturbation like the dense SVD's own.  If at
+    least k pivots were floored, one block solve proposes the singular
+    pairs: orthonormal bases U of B^-T X and V of B^-1 X, X a fixed random
+    n x k block, that is one step of inverse iteration from a shift at
+    rounding distance.  Otherwise, or if those pairs fail the certificate,
+    Lanczos (ARPACK, fixed start vector) finds the largest eigenvalue
+    1/sigma^2 of x -> B^-T B^-1 x, k times in turn, each time with the
+    singular pairs found so far projected out on both sides, so a repeated
+    smallest singular value is found as often as it occurs.  Its
+    eigenvector u is a left singular vector, and v = B^-1 u (orthogonal to
+    the earlier v) the right one.  Both sources face one certificate: each
+    sigma is the Rayleigh value u^T B v of B itself, and the residual r of
+    the pair, also computed with B, puts a singular value of B within r of
+    it; the values are kept only when every r <= SIGMA_CERT_RTOL * sigma +
+    ROUNDING_SIGMA.  A failed certificate, an ARPACK error (no convergence
+    included) or non-finite output falls back to the dense SVD, gesdd, then
+    gesvd if gesdd fails, run in place on a copy of B in the LU's buffer.
     """
     n = len(B)
     lu, piv, _ = lapack.dgetrf(B)
@@ -501,25 +506,38 @@ def _smallest_singular_values(B: np.ndarray, k: int) -> np.ndarray:
     if k < n and floor > 0.0 and np.isfinite(lu).all():
         tiny = np.flatnonzero(pivots < floor)
         lu[tiny, tiny] = np.copysign(floor, lu[tiny, tiny])
-        U, V = np.zeros((n, 0)), np.zeros((n, 0))
+        # the first column is Lanczos's start vector
+        X = np.random.default_rng(0).standard_normal((k, n)).T
 
-        def deflated_inv_gram(x):
-            y = lapack.dgetrs(lu, piv, x - U @ (U.T @ x))[0]
-            z = lapack.dgetrs(lu, piv, y - V @ (V.T @ y), trans=1)[0]
-            return z - U @ (U.T @ z)
+        def block_solve():
+            # k or more floored pivots make B singular to rounding: one
+            # solve maps any block into its near-null space on each side
+            return (np.linalg.qr(lapack.dgetrs(lu, piv, X, trans=1)[0])[0],
+                    np.linalg.qr(lapack.dgetrs(lu, piv, X)[0])[0])
 
-        start = np.random.default_rng(0).standard_normal(n)
-        op = LinearOperator((n, n), matvec=deflated_inv_gram, dtype=float)
-        try:
+        def lanczos():
+            U, V = np.zeros((n, 0)), np.zeros((n, 0))
+
+            def deflated_inv_gram(x):
+                y = lapack.dgetrs(lu, piv, x - U @ (U.T @ x))[0]
+                z = lapack.dgetrs(lu, piv, y - V @ (V.T @ y), trans=1)[0]
+                return z - U @ (U.T @ z)
+
+            op = LinearOperator((n, n), matvec=deflated_inv_gram, dtype=float)
             for _ in range(k):
-                u = eigsh(op, k=1, v0=start - U @ (U.T @ start), tol=0.0)[1]
+                u = eigsh(op, k=1, v0=X[:, 0] - U @ (U.T @ X[:, 0]),
+                          tol=0.0)[1]
                 y = lapack.dgetrs(lu, piv, u)[0]
                 v = y - V @ (V.T @ y)
                 U = np.hstack([U, u])
                 V = np.hstack([V, v / np.linalg.norm(v)])
-        except ArpackError:
-            pass
-        else:
+            return U, V
+
+        for source in ([block_solve] if tiny.size >= k else []) + [lanczos]:
+            try:
+                U, V = source()
+            except ArpackError:
+                break
             BV = B @ V
             sigma = np.einsum("ij,ij->j", U, BV)
             # [u; v] / sqrt(2) is a unit vector of [[0, B], [B^T, 0]], whose
@@ -530,11 +548,15 @@ def _smallest_singular_values(B: np.ndarray, k: int) -> np.ndarray:
             sigma = np.abs(sigma)
             if np.all(residual <= SIGMA_CERT_RTOL * sigma + ROUNDING_SIGMA):
                 return np.sort(sigma)
+    lu[...] = B  # the LU is spent; an SVD of B itself would copy B again
     try:
-        svals = np.linalg.svd(B, compute_uv=False)
+        svals = scipy.linalg.svd(lu, compute_uv=False, overwrite_a=True,
+                                 check_finite=False)
     except np.linalg.LinAlgError:
         # gesdd can fail on badly scaled weights; gesvd is slower but robust
-        svals = scipy.linalg.svd(B, compute_uv=False, lapack_driver="gesvd")
+        lu[...] = B
+        svals = scipy.linalg.svd(lu, compute_uv=False, overwrite_a=True,
+                                 check_finite=False, lapack_driver="gesvd")
     return svals[::-1][:k]
 
 
@@ -559,11 +581,12 @@ def min_singular_value_study(d, c: float, a: float,
 
     Per mesh only the deflate + 1 smallest singular values are computed
     (``_smallest_singular_values``): one LU factorization of the weighted
-    matrix, then Lanczos on its inverse Gram operator, each value certified
-    by a residual computed with the matrix itself.  An uncertified value,
-    an ARPACK error or non-finite output sends the mesh to the dense SVD
+    matrix, then one block solve if the LU floored that many pivots, else
+    Lanczos on its inverse Gram operator, each value certified by a
+    residual computed with the matrix itself.  An uncertified value, an
+    ARPACK error or non-finite output sends the mesh to the dense SVD
     (gesdd, then gesvd).  Values below ROUNDING_SIGMA are rounding level
-    with either method.  c and a must be finite.
+    with any method.  c and a must be finite.
     """
     _check_finite(c=c, a=a)
     if deflate < 0:

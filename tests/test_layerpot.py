@@ -9,7 +9,7 @@ import pytest
 import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.sparse.linalg import ArpackNoConvergence
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 import polyfred as pf
 import polyfred.layerpot as lp
@@ -603,6 +603,94 @@ def test_smallest_singular_values_circle_deflated(circle):
         got = _smallest_singular_values(_study_matrix(circle, -1.0, 0.0, n), 2)
         assert got[0] <= 1e-12
         assert abs(got[1] - 1.0) <= 1e-10
+
+
+def _floored_pivots(B):
+    pivots = np.abs(np.diagonal(scipy.linalg.lapack.dgetrf(B)[0]))
+    return int(np.sum(pivots < np.finfo(float).eps * pivots.max()))
+
+
+def _no_lanczos(*args, **kwargs):
+    raise AssertionError("Lanczos ran")
+
+
+def _no_lanczos_convergence(*args, **kwargs):
+    raise ArpackNoConvergence("forced", np.zeros(0), np.zeros((0, 0)))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", ("slit_square", "tcrack_square"))
+@pytest.mark.parametrize("c, k", ((1.0, 1), (-1.0, 2)))
+@pytest.mark.parametrize("n", (8, 16, 32))
+def test_smallest_singular_values_block_solve_on_cracks(name, c, k, n,
+                                                        request, monkeypatch):
+    # the crack operators at c = +-1 are singular: the LU floors at least k
+    # pivots, and one block solve gives certified values without Lanczos or
+    # the dense SVD
+    B = _study_matrix(request.getfixturevalue(name), c, -0.25, n)
+    assert _floored_pivots(B) >= k
+    monkeypatch.setattr(lp, "eigsh", _no_lanczos)
+    monkeypatch.setattr(np.linalg, "svd", _no_dense_svd)
+    monkeypatch.setattr(scipy.linalg, "svd", _no_dense_svd)
+    got = _smallest_singular_values(B, k)
+    assert len(got) == k and np.all(got <= lp.ROUNDING_SIGMA)
+
+
+def test_smallest_singular_values_lanczos_without_floored_pivots(square,
+                                                                 monkeypatch):
+    # no pivot of the square's I + K is floored, so Lanczos answers
+    B = _study_matrix(square, 1.0, 0.0, 16)
+    assert _floored_pivots(B) == 0
+    want = _dense_smallest(B, 1)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(lp, "eigsh", counted)
+    monkeypatch.setattr(np.linalg, "svd", _no_dense_svd)
+    monkeypatch.setattr(scipy.linalg, "svd", _no_dense_svd)
+    got = _smallest_singular_values(B, 1)
+    assert calls == [1]
+    assert np.allclose(got, want, rtol=1e-10, atol=0.0)
+
+
+def test_smallest_singular_values_crack_fallback(tcrack_square, monkeypatch):
+    # a block that is no null space fails the certificate, Lanczos fails to
+    # converge, and the dense values are returned
+    B = _study_matrix(tcrack_square, -1.0, -0.25, 16)
+    want = _dense_smallest(B, 2)
+
+    def unit_columns(a):
+        return np.eye(*a.shape), None
+
+    monkeypatch.setattr(lp, "eigsh", _no_lanczos_convergence)
+    monkeypatch.setattr(np.linalg, "qr", unit_columns)
+    assert np.array_equal(_smallest_singular_values(B, 2), want)
+
+
+def test_smallest_singular_values_fallback_in_place(square, monkeypatch):
+    # the dense fallback reuses the LU's buffer for its copy of B, so it
+    # holds no third N x N array; gesvd gets a fresh copy after gesdd fails
+    B = _study_matrix(square, 1.0, 0.0, 16)
+    B0 = B.copy()
+    seen = []
+
+    def gesdd_fails(a, compute_uv, overwrite_a, check_finite,
+                    lapack_driver="gesdd"):
+        seen.append(lapack_driver)
+        assert a is not B and a.flags.f_contiguous and overwrite_a
+        assert np.array_equal(a, B0)
+        a[...] = np.nan
+        if lapack_driver == "gesdd":
+            raise np.linalg.LinAlgError("forced")
+        return np.arange(len(a), 0.0, -1.0)
+
+    monkeypatch.setattr(lp, "eigsh", _no_lanczos_convergence)
+    monkeypatch.setattr(scipy.linalg, "svd", gesdd_fails)
+    assert np.array_equal(_smallest_singular_values(B, 2), [1.0, 2.0])
+    assert seen == ["gesdd", "gesvd"] and np.array_equal(B, B0)
 
 
 def test_smallest_singular_values_repeated_minimum(square):
