@@ -291,8 +291,6 @@ def limit_operators(d: ConicalDomain) -> dict[str, MellinOperator]:
 
 @dataclass(frozen=True)
 class FredholmVerdict:
-    c: float
-    a: float
     elliptic: bool
     per_vertex: dict                 # vertex id -> ScanResult
     overall: str                     # "Fredholm" | "not Fredholm" | "inconclusive"
@@ -343,13 +341,12 @@ def fredholm_verdict(d: ConicalDomain, c: float, a: float,
         overall = "inconclusive"
     else:
         overall = "Fredholm"
-    return FredholmVerdict(c, a, elliptic, per_vertex, overall, witnesses,
+    return FredholmVerdict(elliptic, per_vertex, overall, witnesses,
                            _reference_window(d))
 
 
 @dataclass(frozen=True)
 class WindowReport:
-    c: float
     per_vertex: dict                 # vertex id -> (lo, hi), None when empty
     global_window: tuple[float, float] | None
     reference_window: tuple[float, float]
@@ -405,7 +402,7 @@ def domain_windows(d: ConicalDomain, c: float,
                                             tol=tol) for op in ops.values()),
                         key=lambda r: r.margin)
             curve.append((float(a), worst.margin, worst.witness_xi))
-    return WindowReport(c, per_vertex, window, _reference_window(d),
+    return WindowReport(per_vertex, window, _reference_window(d),
                         tuple(curve))
 
 
@@ -416,7 +413,7 @@ class SolveResult:
     density: np.ndarray
     mesh: BoundaryMesh
     residual: float
-    rhs_factor: float                # the system solved is (c I + A) phi = factor*g
+    rhs_factor: float                # the system solved is (I + A) phi = factor*g
     g: np.ndarray                    # (N,) boundary data at the mesh nodes
 
     def __call__(self, z):
@@ -426,26 +423,23 @@ class SolveResult:
         return vals if np.ndim(z) > 1 else float(vals[0])
 
 
-def solve_dirichlet(d: ConicalDomain, g, c: float = 1.0, a: float = 0.0,
+def solve_dirichlet(d: ConicalDomain, g,
                     mesh: BoundaryMesh | None = None) -> SolveResult:
     """Interior Dirichlet solve via the density equation (I + A) phi = 2 g.
 
     The interior trace of the double layer potential of phi is (I + K) phi,
     so with the right-hand side 2g the evaluator returns half the potential
-    and matches g on the boundary.  Only c = +1 is meaningful here.
+    and matches g on the boundary.  On a crack-free domain I + K is always
+    Fredholm (Verchota 1984: every corner symbol is [[0, s], [s, 0]] with
+    |s| < 1), so no verdict precedes the solve.  A domain with cracks and a
+    residual above SOLVE_RESIDUAL_TOL raise ValueError.
     """
     if d.has_cracks:
         raise ValueError("Dirichlet harness supports crack-free domains only")
-    if c != 1.0:
-        raise ValueError("the Dirichlet identity requires c = +1")
-    v = fredholm_verdict(d, c, a)
-    if not v.is_fredholm:
-        raise ValueError(f"operator not Fredholm at (c={c}, a={a}): "
-                         f"{v.overall}, witnesses {v.witnesses}")
     if mesh is None:
         mesh = _mesh_for(d, 32, 0.5, 12)
     sys = assemble_np(d, mesh)
-    sys[np.diag_indices_from(sys)] += c
+    sys[np.diag_indices_from(sys)] += 1.0
     if callable(g):
         rhs = np.array([g(p[0], p[1]) for p in mesh.points])
     else:
@@ -464,7 +458,6 @@ class StudyResult:
     rows: tuple                      # (n, node count, sigma) triples
     trend: str                       # "bounded-below" | "decaying" | "inconclusive"
     slope: float | None              # None when the finest sigma is rounding level
-    deflate: int
 
 
 def weighted_discrete_operator(d, c: float, a: float, mesh: BoundaryMesh
@@ -610,7 +603,7 @@ def min_singular_value_study(d, c: float, a: float,
     # one call per mesh, so each matrix is freed before the next is built
     rows = tuple(one(n) for n in mesh_sizes)
     if rows[-1][2] < ROUNDING_SIGMA:
-        return StudyResult(rows, "decaying", None, deflate)
+        return StudyResult(rows, "decaying", None)
     logN = np.log([r[1] for r in rows[-3:]])
     logS = np.log(np.maximum([r[2] for r in rows[-3:]], 1e-300))
     slope = float(np.polyfit(logN, logS, 1)[0])
@@ -620,5 +613,5 @@ def min_singular_value_study(d, c: float, a: float,
         trend = "bounded-below"
     else:
         trend = "inconclusive"
-    return StudyResult(rows, trend, slope, deflate)
+    return StudyResult(rows, trend, slope)
 

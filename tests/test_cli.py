@@ -223,7 +223,7 @@ def test_scan_settings_checked_without_vertices(runner):
 @pytest.mark.parametrize("cmd,opt", [
     ("analyze", "--c"), ("analyze", "--a"), ("window", "--c"),
     ("window", "--a-min"), ("window", "--a-max"), ("study", "--c"),
-    ("study", "--a"), ("solve", "--c"), ("solve", "--a")])
+    ("study", "--a"), ("solve", "--c")])
 @pytest.mark.parametrize("name", ["square", "circle"])
 def test_non_finite_numbers_exit_three(runner, name, cmd, opt, value):
     # c and the weights are checked by name before any scan or assembly
@@ -393,6 +393,35 @@ def test_solve_square(runner):
     assert rep["max_interior_relative_error"] <= 1e-3
 
 
+@pytest.mark.parametrize("c", ["-1", "0.5"])
+def test_solve_rejects_c_other_than_one(runner, c):
+    # the Dirichlet identity holds for I + K only
+    res = runner.invoke(main, ["solve", domain_path("square"), "--g", "x",
+                               "--c", c])
+    assert res.exit_code == 3, res.output
+    assert res.stdout == ""
+    assert "c = " in res.stderr
+
+
+def test_solve_runs_no_symbolic_route(runner, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve reached the symbolic route")
+
+    for name in ("limit_operators", "fredholm_verdict", "invertibility_scan",
+                 "admissible_weight_window"):
+        monkeypatch.setattr(layerpot, name, refuse)
+    res = runner.invoke(main, ["solve", domain_path("square"), "--g", "x",
+                               "--mesh-n", "8", "--mesh-nc", "4"])
+    assert res.exit_code == 0, res.output
+    assert "a" not in json.loads(res.stdout)["config"]
+
+
+def test_solve_has_no_weight_option(runner):
+    res = runner.invoke(main, ["solve", domain_path("square"), "--g", "x",
+                               "--a", "0"])
+    assert res.exit_code == 2
+
+
 def test_solve_bad_expression(runner):
     res = runner.invoke(main, ["solve", domain_path("square"), "--g", "x+"])
     assert res.exit_code == 3
@@ -531,7 +560,7 @@ SURFACE = {
     "analyze": {"--a", "--c", "--tol", "--xi-max", "--out"},
     "window": {"--a-min", "--a-max", "--c", "--tol", "--xi-max", "--out",
                "--format"},
-    "solve": {"--g", "--a", "--mesh-n", "--mesh-q", "--mesh-nc", "--c",
+    "solve": {"--g", "--mesh-n", "--mesh-q", "--mesh-nc", "--c",
               "--out"},
     "study": {"--a", "--mesh-n", "--mesh-q", "--deflate", "--c", "--out",
               "--format"},

@@ -471,14 +471,40 @@ def test_solve_square_harmonic(square):
         assert abs(sol(np.array(p)) - (p[0] ** 2 - p[1] ** 2)) <= 1e-3
 
 
-def test_solve_guards(square, slit_square):
-    with pytest.raises(ValueError):
-        solve_dirichlet(square, lambda x, y: 1.0, c=-1.0)
+def test_solve_guards(slit_square):
     with pytest.raises(ValueError):
         solve_dirichlet(slit_square, lambda x, y: 1.0)
-    with pytest.raises(ValueError):
-        # at the window endpoint the operator is not Fredholm
-        solve_dirichlet(square, lambda x, y: 1.0, a=2.0 / 3.0)
+
+
+def test_solve_runs_no_symbolic_route(square, monkeypatch):
+    # I + K is Fredholm on every crack-free domain, so the solve asks no
+    # limit operator, verdict or Mellin scan
+    def refuse(*args, **kwargs):
+        raise AssertionError("the solve reached the symbolic route")
+
+    for name in ("limit_operators", "fredholm_verdict", "invertibility_scan",
+                 "admissible_weight_window"):
+        monkeypatch.setattr(lp, name, refuse)
+    sol = solve_dirichlet(square, lambda x, y: x * x - y * y,
+                          mesh=_mesh_for(square, 16, 0.5, 8))
+    assert sol.residual <= lp.SOLVE_RESIDUAL_TOL
+
+
+def test_solve_thin_triangle():
+    # a 0.002 rad corner: the symbol margin there, min(t, 2 pi - t) / pi,
+    # is below INCONCLUSIVE_MARGIN, yet I + K is invertible
+    t = 0.002
+    d = pf.parse_domain({
+        "name": "thin",
+        "vertices": [{"id": "o", "x": 0.0, "y": 0.0},
+                     {"id": "p", "x": 1.0, "y": 0.0},
+                     {"id": "q", "x": math.cos(t), "y": math.sin(t)}],
+        "edges": [{"id": "e0", "from": "o", "to": "p"},
+                  {"id": "e1", "from": "p", "to": "q"},
+                  {"id": "e2", "from": "q", "to": "o"}]})
+    assert fredholm_verdict(d, 1.0, 0.0).overall == "inconclusive"
+    sol = solve_dirichlet(d, lambda x, y: x * x - y * y)
+    assert sol.residual <= lp.SOLVE_RESIDUAL_TOL
 
 
 def test_solve_rejects_nan_data(square):

@@ -348,10 +348,10 @@ def test_wedge_window_reflection_symmetry():
 
 def test_window_contains_helper():
     w = admissible_weight_window(wedge_np_kernel(math.pi / 2), 1.0)
-    rep = WindowReport(1.0, {"wedge": w}, w, (-2.0 / 3.0, 0.5), ())
+    rep = WindowReport({"wedge": w}, w, (-2.0 / 3.0, 0.5), ())
     assert rep.contains(-0.5, 0.5)
     assert not rep.contains(-0.9, 0.5)
-    assert not WindowReport(0.5, {"wedge": None}, None, (-2.0 / 3.0, 0.5),
+    assert not WindowReport({"wedge": None}, None, (-2.0 / 3.0, 0.5),
                             ()).contains(-0.1, 0.1)
 
 

@@ -1,9 +1,9 @@
 """The benchmark's tracer against the program as it is.
 
 ``perfbench/tracing.py`` wraps layer functions by name and reads fields of
-their arguments and results.  Loading it unmodified around a window and a
-study query makes a renamed function, field or parameter fail here, not
-only in a traced benchmark run.
+their arguments and results.  Loading it unmodified around a window, a
+study and a solve query makes a renamed function, field or parameter fail
+here, not only in a traced benchmark run.
 """
 
 import importlib.util
@@ -34,7 +34,9 @@ def test_tracer_reads_window_and_study_queries():
     runner = CliRunner()
     queries = {"window/square": ["window", domain_path("square")],
                "study/square": ["study", domain_path("square"),
-                                "--mesh-n", "8", "--mesh-n", "16"]}
+                                "--mesh-n", "8", "--mesh-n", "16"],
+               "solve/square": ["solve", domain_path("square"), "--g", "x",
+                                "--mesh-n", "8", "--mesh-nc", "4"]}
     scan = layerpot.invertibility_scan
     tracer.install(cli, layerpot, mellin, np, scipy)
     try:
@@ -51,4 +53,5 @@ def test_tracer_reads_window_and_study_queries():
     metrics = tracer.layer_metrics()
     assert metrics["mellin.xi_samples"] > 0
     assert metrics["layerpot.nodes"] > 0
+    assert metrics["layerpot.potential_targets"] > 0
     assert layerpot.invertibility_scan is scan           # removed again
