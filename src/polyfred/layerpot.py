@@ -469,68 +469,64 @@ def weighted_discrete_operator(d, c: float, a: float, mesh: BoundaryMesh
                            np.sqrt(mesh.weights) * mesh.r ** (-(0.5 + a)))
 
 
-def _smallest_singular_values(B: np.ndarray, k: int) -> np.ndarray:
+def _smallest_singular_values(B: np.ndarray, k: int,
+                              twin: np.ndarray) -> np.ndarray:
     """The k smallest singular values of the square matrix B, ascending.
 
-    B is factored once by LU.  Pivots below eps * max|U_ii| (the crack
-    operators at c = +-1 are exactly singular) are set to +-eps * max|U_ii|,
-    a rounding-size backward perturbation like the dense SVD's own.  If at
-    least k pivots were floored, one block solve proposes the singular
-    pairs: orthonormal bases U of B^-T X and V of B^-1 X, X a fixed random
-    n x k block, that is one step of inverse iteration from a shift at
-    rounding distance.  Otherwise, or if those pairs fail the certificate,
-    Lanczos (ARPACK, fixed start vector) finds the largest eigenvalue
+    twin is the mesh's twin map.  Twin nodes of a straight crack sit at one
+    point, so at c = -1 their rows of B can be equal and at c = +1 their
+    columns opposite.  If k disjoint pairs have rows exactly equal, or k
+    have columns exactly opposite, each gives a null vector e_i -+ e_t, so
+    the k values are exactly 0.0, with no factorization.  Each pair is
+    decided from its 2 x 2 twin block before whole rows or columns are
+    compared, and the search stops at k.  Otherwise B is factored once by
+    LU.  Pivots below eps * max|U_ii| are set to +-eps * max|U_ii|, a
+    rounding-size backward perturbation like the dense SVD's own.  Lanczos
+    (ARPACK, fixed start vector) then finds the largest eigenvalue
     1/sigma^2 of x -> B^-T B^-1 x, k times in turn, each time with the
     singular pairs found so far projected out on both sides, so a repeated
     smallest singular value is found as often as it occurs.  Its
     eigenvector u is a left singular vector, and v = B^-1 u (orthogonal to
-    the earlier v) the right one.  Both sources face one certificate: each
-    sigma is the Rayleigh value u^T B v of B itself, and the residual r of
-    the pair, also computed with B, puts a singular value of B within r of
-    it; the values are kept only when every r <= SIGMA_CERT_RTOL * sigma +
-    ROUNDING_SIGMA.  A failed certificate, an ARPACK error (no convergence
-    included) or non-finite output falls back to the dense SVD, gesdd, then
-    gesvd if gesdd fails, run in place on a copy of B in the LU's buffer.
+    the earlier v) the right one.  Each sigma is the Rayleigh value u^T B v
+    of B itself, and the residual r of the pair, also computed with B, puts
+    a singular value of B within r of it; the values are kept only when
+    every r <= SIGMA_CERT_RTOL * sigma + ROUNDING_SIGMA.  A failed
+    certificate, an ARPACK error (no convergence included) or non-finite
+    output falls back to the dense SVD, gesdd, then gesvd if gesdd fails,
+    run in place on a copy of B in the LU's buffer.
     """
     n = len(B)
+    i = np.flatnonzero(twin > np.arange(n))
+    t = twin[i]
+    # M[j] == s * M[twin[j]]: rows equal (M = B), columns opposite (M = B^T)
+    for M, s in ((B, 1.0), (B.T, -1.0)):
+        found = 0
+        for j in i[(M[i, i] == s * M[t, i]) & (M[i, t] == s * M[t, t])]:
+            found += np.array_equal(M[j], s * M[twin[j]])
+            if found == k:
+                return np.zeros(k)
     lu, piv, _ = lapack.dgetrf(B)
     pivots = np.abs(lu.diagonal())
     floor = np.finfo(float).eps * pivots.max()
     if k < n and floor > 0.0 and np.isfinite(lu).all():
         tiny = np.flatnonzero(pivots < floor)
         lu[tiny, tiny] = np.copysign(floor, lu[tiny, tiny])
-        # the first column is Lanczos's start vector
-        X = np.random.default_rng(0).standard_normal((k, n)).T
+        x0 = np.random.default_rng(0).standard_normal(n)
+        U, V = np.zeros((n, 0)), np.zeros((n, 0))
 
-        def block_solve():
-            # k or more floored pivots make B singular to rounding: one
-            # solve maps any block into its near-null space on each side
-            return (np.linalg.qr(lapack.dgetrs(lu, piv, X, trans=1)[0])[0],
-                    np.linalg.qr(lapack.dgetrs(lu, piv, X)[0])[0])
+        def deflated_inv_gram(x):
+            y = lapack.dgetrs(lu, piv, x - U @ (U.T @ x))[0]
+            z = lapack.dgetrs(lu, piv, y - V @ (V.T @ y), trans=1)[0]
+            return z - U @ (U.T @ z)
 
-        def lanczos():
-            U, V = np.zeros((n, 0)), np.zeros((n, 0))
-
-            def deflated_inv_gram(x):
-                y = lapack.dgetrs(lu, piv, x - U @ (U.T @ x))[0]
-                z = lapack.dgetrs(lu, piv, y - V @ (V.T @ y), trans=1)[0]
-                return z - U @ (U.T @ z)
-
-            op = LinearOperator((n, n), matvec=deflated_inv_gram, dtype=float)
+        op = LinearOperator((n, n), matvec=deflated_inv_gram, dtype=float)
+        try:
             for _ in range(k):
-                u = eigsh(op, k=1, v0=X[:, 0] - U @ (U.T @ X[:, 0]),
-                          tol=0.0)[1]
+                u = eigsh(op, k=1, v0=x0 - U @ (U.T @ x0), tol=0.0)[1]
                 y = lapack.dgetrs(lu, piv, u)[0]
                 v = y - V @ (V.T @ y)
                 U = np.hstack([U, u])
                 V = np.hstack([V, v / np.linalg.norm(v)])
-            return U, V
-
-        for source in ([block_solve] if tiny.size >= k else []) + [lanczos]:
-            try:
-                U, V = source()
-            except ArpackError:
-                break
             BV = B @ V
             sigma = np.einsum("ij,ij->j", U, BV)
             # [u; v] / sqrt(2) is a unit vector of [[0, B], [B^T, 0]], whose
@@ -541,6 +537,8 @@ def _smallest_singular_values(B: np.ndarray, k: int) -> np.ndarray:
             sigma = np.abs(sigma)
             if np.all(residual <= SIGMA_CERT_RTOL * sigma + ROUNDING_SIGMA):
                 return np.sort(sigma)
+        except ArpackError:
+            pass
     lu[...] = B  # the LU is spent; an SVD of B itself would copy B again
     try:
         svals = scipy.linalg.svd(lu, compute_uv=False, overwrite_a=True,
@@ -573,13 +571,14 @@ def min_singular_value_study(d, c: float, a: float,
     so bounded-below operators can still show decay there.
 
     Per mesh only the deflate + 1 smallest singular values are computed
-    (``_smallest_singular_values``): one LU factorization of the weighted
-    matrix, then one block solve if the LU floored that many pivots, else
-    Lanczos on its inverse Gram operator, each value certified by a
-    residual computed with the matrix itself.  An uncertified value, an
-    ARPACK error or non-finite output sends the mesh to the dense SVD
-    (gesdd, then gesvd).  Values below ROUNDING_SIGMA are rounding level
-    with any method.  c and a must be finite.
+    (``_smallest_singular_values``).  On a crack at c = +-1 they are
+    exactly 0.0 when that many twin node pairs have equal rows or opposite
+    columns in the weighted matrix.  Otherwise the matrix is factored
+    by LU, and Lanczos on its inverse Gram operator finds them, each
+    value certified by a residual computed with the matrix itself.  An
+    uncertified value, an ARPACK error or non-finite output sends the mesh
+    to the dense SVD (gesdd, then gesvd).  Values below ROUNDING_SIGMA are
+    rounding level with any method.  c and a must be finite.
     """
     _check_finite(c=c, a=a)
     if deflate < 0:
@@ -597,7 +596,7 @@ def min_singular_value_study(d, c: float, a: float,
             raise ValueError(f"deflate {deflate} leaves no singular value "
                              f"of a {mesh.size}-node mesh")
         B = weighted_discrete_operator(d, c, a, mesh)
-        sigma = _smallest_singular_values(B, 1 + deflate)[-1]
+        sigma = _smallest_singular_values(B, 1 + deflate, mesh.twin)[-1]
         return (n, mesh.size, float(sigma))
 
     # one call per mesh, so each matrix is freed before the next is built

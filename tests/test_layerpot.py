@@ -542,13 +542,18 @@ def test_study_circle_constants_kernel(circle):
 
 # -- smallest singular values ----------------------------------------------
 
-def _dense_smallest(B, k):
+def _dense_smallest(B, k, twin=None):
     return np.linalg.svd(B, compute_uv=False)[::-1][:k]
 
 
 def _study_matrix(d, c, a, n):
+    # the weighted matrix of the study's mesh and that mesh's twin map
     mesh = _mesh_for(d, n, 0.5, max(4, min(n // 2, 24)))
-    return weighted_discrete_operator(d, c, a, mesh)
+    return weighted_discrete_operator(d, c, a, mesh), mesh.twin
+
+
+def _no_twins(B):
+    return np.full(len(B), -1)
 
 
 def _no_dense_svd(*args, **kwargs):
@@ -586,14 +591,15 @@ def test_smallest_singular_values_match_dense(name, monkeypatch):
 @pytest.mark.filterwarnings("error")
 def test_smallest_singular_values_exact_zero_pivot(tcrack_square,
                                                    monkeypatch):
-    # c = -1 on the T-shaped crack is exactly singular; LU meets a pivot that
-    # is exactly zero, which must neither warn nor leave the fast path
-    B = _study_matrix(tcrack_square, -1.0, -0.25, 8)
+    # c = -1 on the T-shaped crack is exactly singular; without the twin map
+    # LU meets a pivot that is exactly zero, which must neither warn nor
+    # leave the fast path
+    B, _ = _study_matrix(tcrack_square, -1.0, -0.25, 8)
     lu = scipy.linalg.lapack.dgetrf(B)[0]
     assert np.any(np.diagonal(lu) == 0.0)
     want = _dense_smallest(B, 2)
     monkeypatch.setattr(np.linalg, "svd", _no_dense_svd)
-    got = _smallest_singular_values(B, 2)
+    got = _smallest_singular_values(B, 2, _no_twins(B))
     assert np.all(got <= 1e-12) and np.all(want <= 1e-12)
 
 
@@ -603,8 +609,8 @@ def test_smallest_singular_values_fallback_on_no_convergence(square,
         raise ArpackNoConvergence("forced", np.zeros(0), np.zeros((0, 0)))
 
     monkeypatch.setattr(lp, "eigsh", no_convergence)
-    B = _study_matrix(square, -1.0, 0.0, 16)
-    assert np.array_equal(_smallest_singular_values(B, 2),
+    B, twin = _study_matrix(square, -1.0, 0.0, 16)
+    assert np.array_equal(_smallest_singular_values(B, 2, twin),
                           _dense_smallest(B, 2))
 
 
@@ -616,8 +622,8 @@ def test_smallest_singular_values_fallback_on_failed_certificate(square,
         return np.ones(k), (v0 / np.linalg.norm(v0))[:, None]
 
     monkeypatch.setattr(lp, "eigsh", wrong_vector)
-    B = _study_matrix(square, 1.0, 0.0, 16)
-    assert np.array_equal(_smallest_singular_values(B, 1),
+    B, twin = _study_matrix(square, 1.0, 0.0, 16)
+    assert np.array_equal(_smallest_singular_values(B, 1, twin),
                           _dense_smallest(B, 1))
 
 
@@ -626,7 +632,8 @@ def test_smallest_singular_values_circle_deflated(circle):
     # -I + K annihilates constants; the rest of the spectrum is exactly 1 on
     # the circle, and the huge 1/sigma_1^2 must not hide it
     for n in (8, 16, 32, 64):
-        got = _smallest_singular_values(_study_matrix(circle, -1.0, 0.0, n), 2)
+        B, twin = _study_matrix(circle, -1.0, 0.0, n)
+        got = _smallest_singular_values(B, 2, twin)
         assert got[0] <= 1e-12
         assert abs(got[1] - 1.0) <= 1e-10
 
@@ -644,28 +651,115 @@ def _no_lanczos_convergence(*args, **kwargs):
     raise ArpackNoConvergence("forced", np.zeros(0), np.zeros((0, 0)))
 
 
+def _no_lu(*args, **kwargs):
+    raise AssertionError("the LU ran")
+
+
+def _only_twin_pairs(monkeypatch):
+    monkeypatch.setattr(scipy.linalg.lapack, "dgetrf", _no_lu)
+    monkeypatch.setattr(lp, "eigsh", _no_lanczos)
+    monkeypatch.setattr(np.linalg, "svd", _no_dense_svd)
+    monkeypatch.setattr(scipy.linalg, "svd", _no_dense_svd)
+
+
+def _counted_lu(monkeypatch):
+    calls = []
+    dgetrf = scipy.linalg.lapack.dgetrf
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return dgetrf(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dgetrf", counted)
+    return calls
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("name", ("slit_square", "tcrack_square"))
 @pytest.mark.parametrize("c, k", ((1.0, 1), (-1.0, 2)))
 @pytest.mark.parametrize("n", (8, 16, 32))
 def test_smallest_singular_values_block_solve_on_cracks(name, c, k, n,
                                                         request, monkeypatch):
-    # the crack operators at c = +-1 are singular: the LU floors at least k
-    # pivots, and one block solve gives certified values without Lanczos or
-    # the dense SVD
-    B = _study_matrix(request.getfixturevalue(name), c, -0.25, n)
+    # the crack operators at c = +-1 are singular (the LU would floor at
+    # least k pivots); twin rows that are equal (c = -1) or twin columns that
+    # are opposite (c = 1) give k exact null vectors, so every value is 0.0
+    # without the LU, Lanczos or the dense SVD
+    B, twin = _study_matrix(request.getfixturevalue(name), c, -0.25, n)
     assert _floored_pivots(B) >= k
-    monkeypatch.setattr(lp, "eigsh", _no_lanczos)
-    monkeypatch.setattr(np.linalg, "svd", _no_dense_svd)
-    monkeypatch.setattr(scipy.linalg, "svd", _no_dense_svd)
-    got = _smallest_singular_values(B, k)
-    assert len(got) == k and np.all(got <= lp.ROUNDING_SIGMA)
+    _only_twin_pairs(monkeypatch)
+    got = _smallest_singular_values(B, k, twin)
+    assert len(got) == k and np.all(got == 0.0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", ("slit_square", "tcrack_square", "slit_disk"))
+@pytest.mark.parametrize("c", (1.0, -1.0))
+def test_crack_studies_at_unit_c_are_exactly_singular(name, c, request,
+                                                      monkeypatch):
+    d = request.getfixturevalue(name)
+    _only_twin_pairs(monkeypatch)
+    for deflate in (0, 1):
+        res = min_singular_value_study(d, c, -0.25, mesh_sizes=(8, 16, 32, 64),
+                                       deflate=deflate)
+        assert [r[2] for r in res.rows] == [0.0] * 4
+        assert res.trend == "decaying" and res.slope is None
+
+
+def _exact_twin_pairs(B, twin, c):
+    # twin pairs whose rows are equal (c = -1) or columns opposite (c = 1)
+    M, s = (B, 1.0) if c < 0 else (B.T, -1.0)
+    return [(j, t) for j, t in enumerate(twin)
+            if j < t and np.array_equal(M[j], s * M[t])]
+
+
+@pytest.mark.parametrize("name", ("slit_square", "tcrack_square"))
+@pytest.mark.parametrize("c, k", ((1.0, 1), (-1.0, 2)))
+def test_twin_check_misses_one_ulp_off(name, c, k, request, monkeypatch):
+    # one entry of each exact pair moved by one ulp, outside its 2 x 2 twin
+    # block: no pair is exact any more, and the LU runs
+    B, twin = _study_matrix(request.getfixturevalue(name), c, -0.25, 16)
+    pairs = _exact_twin_pairs(B, twin, c)
+    assert len(pairs) >= k
+    for j, t in pairs:
+        x = next(x for x in range(len(B)) if x not in (j, t))
+        at = (j, x) if c < 0 else (x, j)
+        B[at] = np.nextafter(B[at], np.inf)
+    assert _exact_twin_pairs(B, twin, c) == []
+    calls = _counted_lu(monkeypatch)
+    got = _smallest_singular_values(B, k, twin)
+    assert calls == [1] and np.all(got <= lp.ROUNDING_SIGMA)
+
+
+@pytest.mark.parametrize("name, c", [
+    (name, c) for name in ("slit_square", "tcrack_square", "slit_disk")
+    for c in (0.5, -0.6)] + [
+    (name, c) for name in ("square", "lshape", "hexagon", "circle")
+    for c in (1.0, -1.0)])
+def test_twin_check_misses_without_exact_pairs(name, c, monkeypatch):
+    # off c = +-1, or without cracks, no twin pair is exact: the LU runs and
+    # the values are those of the solve without the twin map
+    d = pf.parse_domain(domain_path(name))
+    B, twin = _study_matrix(d, c, -0.25, 16)
+    k = 2 if c < 0 else 1
+    calls = _counted_lu(monkeypatch)
+    got = _smallest_singular_values(B, k, twin)
+    assert calls == [1]
+    assert np.array_equal(got, _smallest_singular_values(B, k, _no_twins(B)))
+
+
+def test_crack_study_peak_memory(tcrack_square):
+    # at c = -1 the zero singular values come without an LU: per mesh only
+    # the weighted matrix is N x N
+    peak = _peak_bytes(min_singular_value_study, tcrack_square, -1.0, -0.25,
+                       (64, 128))
+    N = _mesh_for(tcrack_square, 128, 0.5, 24).size
+    assert peak <= 1.25 * 8 * N * N
 
 
 def test_smallest_singular_values_lanczos_without_floored_pivots(square,
                                                                  monkeypatch):
     # no pivot of the square's I + K is floored, so Lanczos answers
-    B = _study_matrix(square, 1.0, 0.0, 16)
+    B, twin = _study_matrix(square, 1.0, 0.0, 16)
     assert _floored_pivots(B) == 0
     want = _dense_smallest(B, 1)
     calls = []
@@ -677,29 +771,24 @@ def test_smallest_singular_values_lanczos_without_floored_pivots(square,
     monkeypatch.setattr(lp, "eigsh", counted)
     monkeypatch.setattr(np.linalg, "svd", _no_dense_svd)
     monkeypatch.setattr(scipy.linalg, "svd", _no_dense_svd)
-    got = _smallest_singular_values(B, 1)
+    got = _smallest_singular_values(B, 1, twin)
     assert calls == [1]
     assert np.allclose(got, want, rtol=1e-10, atol=0.0)
 
 
 def test_smallest_singular_values_crack_fallback(tcrack_square, monkeypatch):
-    # a block that is no null space fails the certificate, Lanczos fails to
-    # converge, and the dense values are returned
-    B = _study_matrix(tcrack_square, -1.0, -0.25, 16)
+    # without the twin map the zero values are not read off B: Lanczos
+    # fails to converge on the floored LU, and the dense values are returned
+    B, _ = _study_matrix(tcrack_square, -1.0, -0.25, 16)
     want = _dense_smallest(B, 2)
-
-    def unit_columns(a):
-        return np.eye(*a.shape), None
-
     monkeypatch.setattr(lp, "eigsh", _no_lanczos_convergence)
-    monkeypatch.setattr(np.linalg, "qr", unit_columns)
-    assert np.array_equal(_smallest_singular_values(B, 2), want)
+    assert np.array_equal(_smallest_singular_values(B, 2, _no_twins(B)), want)
 
 
 def test_smallest_singular_values_fallback_in_place(square, monkeypatch):
     # the dense fallback reuses the LU's buffer for its copy of B, so it
     # holds no third N x N array; gesvd gets a fresh copy after gesdd fails
-    B = _study_matrix(square, 1.0, 0.0, 16)
+    B, twin = _study_matrix(square, 1.0, 0.0, 16)
     B0 = B.copy()
     seen = []
 
@@ -715,17 +804,17 @@ def test_smallest_singular_values_fallback_in_place(square, monkeypatch):
 
     monkeypatch.setattr(lp, "eigsh", _no_lanczos_convergence)
     monkeypatch.setattr(scipy.linalg, "svd", gesdd_fails)
-    assert np.array_equal(_smallest_singular_values(B, 2), [1.0, 2.0])
+    assert np.array_equal(_smallest_singular_values(B, 2, twin), [1.0, 2.0])
     assert seen == ["gesdd", "gesvd"] and np.array_equal(B, B0)
 
 
 def test_smallest_singular_values_repeated_minimum(square):
     # the square's symmetry makes the smallest singular value of I + K a
     # double one: both copies are found before the next value
-    B = _study_matrix(square, 1.0, 0.0, 32)
+    B, twin = _study_matrix(square, 1.0, 0.0, 32)
     want = _dense_smallest(B, 3)
     assert abs(want[1] - want[0]) <= 1e-12 * want[0] < want[2] - want[1]
-    got = _smallest_singular_values(B, 3)
+    got = _smallest_singular_values(B, 3, twin)
     assert np.allclose(got, want, rtol=1e-10, atol=0.0)
 
 
