@@ -97,6 +97,14 @@ class Edge:
         sgn = 1.0 if self._dtheta() >= 0 else -1.0
         return sgn / float(self.params["radius"])
 
+    def polyline(self, domain: "ConicalDomain") -> np.ndarray:
+        """The points the domain checks run on: a straight edge's two
+        endpoints, exactly, or 64 points along an arc."""
+        if self.kind == "line":
+            return np.array([domain.vertex(self.v_from).pos,
+                             domain.vertex(self.v_to).pos])
+        return self.point(np.linspace(0.0, 1.0, 64), domain)
+
     def is_closed(self) -> bool:
         return self.kind == "arc" and abs(abs(self._dtheta()) - TWO_PI) < ANGLE_TOL
 
@@ -184,25 +192,18 @@ class ConicalDomain:
             if e.kind == "line":
                 if e.v_from is None or e.v_to is None:
                     raise DomainError(f"line edge {e.id} needs endpoints")
-                if e.v_from == e.v_to:
-                    raise DomainError(f"degenerate edge {e.id}")
             elif e.kind == "arc":
                 if not e.is_closed() and (e.v_from is None or e.v_to is None):
                     raise DomainError(f"open arc edge {e.id} needs endpoints")
                 if e.crack:
                     raise DomainError("crack edges must be straight segments")
-                if e.length(self) <= 0:         # radius or angle span <= 0
-                    raise DomainError(f"degenerate edge {e.id}")
             else:
                 raise DomainError(f"unknown edge kind {e.kind!r}")
             for vid in (e.v_from, e.v_to):
                 if vid is not None and vid not in self.vertices:
                     raise DomainError(f"edge {e.id} references unknown vertex {vid}")
-            if e.kind == "line" and e.crack:
-                a = self.vertex(e.v_from).pos
-                b = self.vertex(e.v_to).pos
-                if np.linalg.norm(b - a) <= 0:
-                    raise DomainError(f"degenerate crack edge {e.id}")
+            if not e.length(self) > 0:
+                raise DomainError(f"degenerate edge {e.id}")
         used = {v for e in self.edges.values() for v in (e.v_from, e.v_to) if v}
         lonely = set(self.vertices) - used
         if lonely:
@@ -244,8 +245,6 @@ class ConicalDomain:
             seen.add(eid)
             e = self.edges[eid]
             cur_vertex = e.v_to if forward else e.v_from
-        if cur_vertex != start.v_from:
-            raise DomainError("boundary edges do not form one closed loop")
 
         if self._signed_area(loop) < 0:
             loop = [(eid, not fwd) for eid, fwd in reversed(loop)]
@@ -254,29 +253,23 @@ class ConicalDomain:
     def _signed_area(self, loop) -> float:
         pts = []
         for eid, fwd in loop:
-            e = self.edges[eid]
-            s = np.linspace(0.0, 1.0, 33)[:-1]
-            p = e.point(s if fwd else 1.0 - s, self)
-            pts.append(p)
-        p = np.vstack(pts)
-        x, y = p[:, 0], p[:, 1]
+            p = self.edges[eid].polyline(self)
+            pts.append((p if fwd else p[::-1])[:-1])
+        x, y = np.vstack(pts).T
         return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
     def _validate_no_intersections(self):
-        """Coarse pairwise check that distinct edges only meet at shared vertices."""
-        s = np.linspace(0.0, 1.0, 64)
-        polys = {eid: e.point(s, self) for eid, e in self.edges.items()}
+        """Edges that share no vertex keep a positive gap between their
+        polylines."""
+        polys = {eid: e.polyline(self) for eid, e in self.edges.items()}
         ids = list(self.edges)
         for i, ei in enumerate(ids):
             for ej in ids[i + 1:]:
                 a, b = self.edges[ei], self.edges[ej]
-                shared = {a.v_from, a.v_to} & {b.v_from, b.v_to} - {None}
-                if shared:
-                    continue
-                d = _min_polyline_dist(polys[ei], polys[ej])
-                scale = max(a.length(self), b.length(self))
-                if d < 1e-9 * max(scale, 1.0) or \
-                        _polylines_cross(polys[ei], polys[ej]):
+                if {a.v_from, a.v_to} & {b.v_from, b.v_to} - {None}:
+                    continue                    # a shared vertex
+                scale = max(a.length(self), b.length(self), 1.0)
+                if _polyline_gap(polys[ei], polys[ej]) < 1e-9 * scale:
                     raise DomainError(f"edges {ei} and {ej} intersect")
 
     def _incident_rays(self, vid: str) -> list[Ray]:
@@ -308,8 +301,6 @@ class ConicalDomain:
                     raise DomainError(f"vertex {vid}: inconsistent boundary loop")
                 base0 = outs[0].angle
                 span = _norm_angle(ins[0].angle - base0)
-                if span < ANGLE_TOL:
-                    span = TWO_PI
                 inner = sorted(crack_rays,
                                key=lambda r: _norm_angle(r.angle - base0))
                 for r in inner:
@@ -578,28 +569,29 @@ def smoothed_distance(d: ConicalDomain, x):
     return float(r[0]) if x.ndim == 1 else r
 
 
-def _polylines_cross(p, q) -> bool:
-    """Any proper segment-segment crossing between two polylines."""
-    a, b = p[:-1], p[1:]
-    c, d = q[:-1], q[1:]
-
-    def orient(u, v, w):
-        # sign of the cross product (v-u) x (w-u), broadcast over pairs
-        return ((v[..., 0] - u[..., 0]) * (w[..., 1] - u[..., 1])
-                - (v[..., 1] - u[..., 1]) * (w[..., 0] - u[..., 0]))
-
-    A = a[:, None, :]
-    B = b[:, None, :]
-    C = c[None, :, :]
-    D = d[None, :, :]
-    o1 = orient(A, B, C)
-    o2 = orient(A, B, D)
-    o3 = orient(C, D, A)
-    o4 = orient(C, D, B)
-    return bool(np.any((o1 * o2 < 0) & (o3 * o4 < 0)))
+def _orient(u, v, w):
+    # the cross product (v-u) x (w-u), broadcast over pairs
+    return ((v[..., 0] - u[..., 0]) * (w[..., 1] - u[..., 1])
+            - (v[..., 1] - u[..., 1]) * (w[..., 0] - u[..., 0]))
 
 
-def _min_polyline_dist(p, q) -> float:
-    # conservative point-cloud distance; enough for coarse intersection checks
-    d2 = ((p[:, None, :] - q[None, :, :]) ** 2).sum(-1)
-    return math.sqrt(float(d2.min()))
+def _point_segment_dist(p, q) -> float:
+    """Least distance from a point of p to a segment of the polyline q."""
+    a, ab = q[:-1], np.diff(q, axis=0)
+    # a segment that rounds to one point has t = 0
+    t = ((p[:, None] - a) * ab).sum(-1) / np.maximum(
+        (ab * ab).sum(-1), np.finfo(float).tiny)
+    foot = a + np.clip(t, 0.0, 1.0)[..., None] * ab
+    return float(np.linalg.norm(p[:, None] - foot, axis=-1).min())
+
+
+def _polyline_gap(p, q) -> float:
+    """Distance between the polylines p and q: 0 when a segment of one
+    properly crosses a segment of the other, else the least distance from
+    a point of either to a segment of the other."""
+    a, b = p[:-1, None], p[1:, None]
+    c, d = q[None, :-1], q[None, 1:]
+    if np.any((_orient(a, b, c) * _orient(a, b, d) < 0)
+              & (_orient(c, d, a) * _orient(c, d, b) < 0)):
+        return 0.0
+    return min(_point_segment_dist(p, q), _point_segment_dist(q, p))

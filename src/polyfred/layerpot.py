@@ -118,8 +118,6 @@ def graded_mesh(u: UnfoldedDomain, n: int = 16, q: float = 0.5,
     pos = 0
     for ue in u.uedges.values():
         e = d.edges[ue.base_edge_id]
-        if e.length(d) <= 0:
-            raise ValueError(f"degenerate edge {e.id}")
         closed_free = e.is_closed() and e.v_from is None
         if closed_free:
             breaks = np.linspace(0.0, 1.0, n + 1)
@@ -464,9 +462,15 @@ def weighted_discrete_operator(d, c: float, a: float, mesh: BoundaryMesh
                                ) -> np.ndarray:
     """D (c I + A) D^{-1} with D the diagonal realizing the weight-a pairing,
     assembled, shifted and scaled in blocks of rows: besides the result
-    only small temporaries are live."""
-    return _nystrom_matrix(mesh, c,
-                           np.sqrt(mesh.weights) * mesh.r ** (-(0.5 + a)))
+    only small temporaries are live.  A weight whose D, or whose scale
+    D.max()/D.min(), leaves the float range raises ValueError."""
+    with np.errstate(all="ignore"):
+        D = np.sqrt(mesh.weights) * mesh.r ** (-(0.5 + a))
+        ratio = D.max() / D.min()        # inf or nan if D over- or underflows
+    if not np.isfinite(ratio):
+        raise ValueError(f"weight a = {a} takes the weight r^(-1/2-a) of the "
+                         f"{mesh.size}-node mesh beyond the float range")
+    return _nystrom_matrix(mesh, c, D)
 
 
 def _smallest_singular_values(B: np.ndarray, k: int,
@@ -492,8 +496,8 @@ def _smallest_singular_values(B: np.ndarray, k: int,
     a singular value of B within r of it; the values are kept only when
     every r <= SIGMA_CERT_RTOL * sigma + ROUNDING_SIGMA.  A failed
     certificate, an ARPACK error (no convergence included) or non-finite
-    output falls back to the dense SVD, gesdd, then gesvd if gesdd fails,
-    run in place on a copy of B in the LU's buffer.
+    output falls back to the dense SVD, run in place on a copy of B in the
+    LU's buffer.
     """
     n = len(B)
     i = np.flatnonzero(twin > np.arange(n))
@@ -530,24 +534,22 @@ def _smallest_singular_values(B: np.ndarray, k: int,
             BV = B @ V
             sigma = np.einsum("ij,ij->j", U, BV)
             # [u; v] / sqrt(2) is a unit vector of [[0, B], [B^T, 0]], whose
-            # eigenvalues are the +-sigma_j of B
-            residual = np.sqrt(0.5 * (
-                np.linalg.norm(BV - U * sigma, axis=0) ** 2
-                + np.linalg.norm(B.T @ U - V * sigma, axis=0) ** 2))
+            # eigenvalues are the +-sigma_j of B; a residual that overflows
+            # fails the certificate
+            with np.errstate(over="ignore"):
+                residual = np.sqrt(0.5 * (
+                    np.linalg.norm(BV - U * sigma, axis=0) ** 2
+                    + np.linalg.norm(B.T @ U - V * sigma, axis=0) ** 2))
             sigma = np.abs(sigma)
             if np.all(residual <= SIGMA_CERT_RTOL * sigma + ROUNDING_SIGMA):
                 return np.sort(sigma)
         except ArpackError:
             pass
     lu[...] = B  # the LU is spent; an SVD of B itself would copy B again
-    try:
-        svals = scipy.linalg.svd(lu, compute_uv=False, overwrite_a=True,
-                                 check_finite=False)
-    except np.linalg.LinAlgError:
-        # gesdd can fail on badly scaled weights; gesvd is slower but robust
-        lu[...] = B
-        svals = scipy.linalg.svd(lu, compute_uv=False, overwrite_a=True,
-                                 check_finite=False, lapack_driver="gesvd")
+    # without vectors gesdd and gesvd run the same bidiagonal QR, so a
+    # gesvd retry could not succeed where gesdd failed
+    svals = scipy.linalg.svd(lu, compute_uv=False, overwrite_a=True,
+                             check_finite=False)
     return svals[::-1][:k]
 
 
@@ -577,8 +579,9 @@ def min_singular_value_study(d, c: float, a: float,
     by LU, and Lanczos on its inverse Gram operator finds them, each
     value certified by a residual computed with the matrix itself.  An
     uncertified value, an ARPACK error or non-finite output sends the mesh
-    to the dense SVD (gesdd, then gesvd).  Values below ROUNDING_SIGMA are
-    rounding level with any method.  c and a must be finite.
+    to the dense SVD.  Values below ROUNDING_SIGMA are rounding level with
+    any method.  c and a must be finite, and a must keep the weight within
+    the float range (``weighted_discrete_operator``).
     """
     _check_finite(c=c, a=a)
     if deflate < 0:

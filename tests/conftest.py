@@ -1,5 +1,6 @@
 """Shared fixtures: parsed domain files from the domains/ directory."""
 
+import math
 import pathlib
 
 import pytest
@@ -27,6 +28,55 @@ CRACK_DOMAINS = ("slit_square", "slit_disk", "tcrack_square")
 
 def domain_path(name: str) -> str:
     return str(DOMAINS / f"{name}.json")
+
+
+def domain_doc(vertices, edges):
+    """A domain document: vertices maps ids to (x, y), and edges maps ids
+    to (from, to) or (from, to, further fields)."""
+    return {"vertices": [{"id": v, "x": x, "y": y}
+                         for v, (x, y) in vertices.items()],
+            "edges": [{"id": e, "from": f, "to": t, **(more[0] if more else {})}
+                      for e, (f, t, *more) in edges.items()]}
+
+
+def arc(center, radius, theta_start, theta_end):
+    return {"kind": "arc", "params": {"center": center, "radius": radius,
+                                      "theta_start": theta_start,
+                                      "theta_end": theta_end}}
+
+
+CRACK = {"crack": True}
+
+# domains whose boundary is no closed curve of edges that meet only at
+# their shared vertices, with every cone angle in (0, 2 pi)
+MALFORMED_DOMAINS = {
+    # b -> c has length 0
+    "zero-length-edge": domain_doc(
+        {"a": (0, 0), "b": (1, 0), "c": (1, 0)},
+        {"e0": ("a", "b"), "e1": ("b", "c"), "e2": ("c", "a")}),
+    # x -> v runs back over v -> y
+    "overlap": domain_doc(
+        {"v": (0, 0), "y": (2, 0), "p": (0, 1), "x": (1, 0)},
+        {"e0": ("v", "y"), "e1": ("y", "p"), "e2": ("p", "x"),
+         "e3": ("x", "v")}),
+    # t lies inside a -> b
+    "t-junction": domain_doc(
+        {"a": (0, 0), "b": (2, 0), "c": (2, 2), "t": (1, 0), "d": (0, 2)},
+        {"e0": ("a", "b"), "e1": ("b", "c"), "e2": ("c", "t"),
+         "e3": ("t", "d"), "e4": ("d", "a")}),
+    # the crack tip t lies inside a -> b
+    "crack-tip-on-edge": domain_doc(
+        {"a": (0, 0), "b": (2, 0), "c": (2, 2), "d": (0, 2), "p": (0, 1),
+         "t": (1, 0)},
+        {"e0": ("a", "b"), "e1": ("b", "c"), "e2": ("c", "d"),
+         "e3": ("d", "p"), "e4": ("p", "a"), "k": ("p", "t", CRACK)}),
+    # both arcs leave a along the x axis: a cusp of angle 0
+    "horn": domain_doc(
+        {"a": (0, 0), "b": (2, 2), "c": (1, 1)},
+        {"e0": ("a", "b", arc([0, 2], 2.0, -math.pi / 2, 0.0)),
+         "e1": ("b", "c"),
+         "e2": ("c", "a", arc([0, 1], 1.0, 0.0, -math.pi / 2))}),
+}
 
 
 @pytest.fixture(scope="session")

@@ -13,7 +13,9 @@ from click.testing import CliRunner
 from polyfred import layerpot, mellin
 from polyfred.cli import ExprError, main, parse_boundary_data
 
-from conftest import ALL_DOMAINS, CRACK_DOMAINS, domain_path
+from conftest import (ALL_DOMAINS, CRACK, CRACK_DOMAINS,
+                      MALFORMED_DOMAINS, arc, domain_doc,
+                      domain_path)
 
 CRACK_FREE_DOMAINS = tuple(n for n in ALL_DOMAINS if n not in CRACK_DOMAINS)
 
@@ -133,6 +135,34 @@ def test_analyze_not_fredholm_exit_one(runner):
     assert set(rep["witnesses"]) == {"p#c0", "t#c0"}
 
 
+def _vertex_scan(runner, *opts):
+    res = runner.invoke(main, ["analyze", domain_path("square"), *opts])
+    return res.exit_code, json.loads(res.stdout)["per_vertex"]["a"]
+
+
+def test_analyze_short_scan_range(runner):
+    # xi_max <= 2 scans one uniform grid, and the tail bound holds past
+    # it; the margin at xi = 0 is the default run's, bit for bit
+    code, short = _vertex_scan(runner, "--c", "1", "--a", "-0.3",
+                               "--xi-max", "1.5")
+    assert code == 0 and short["xi_max_used"] == 1.5
+    assert short["margin"] == 0.4388368811828197
+    assert short["margin"] == _vertex_scan(runner, "--c", "1",
+                                           "--a", "-0.3")[1]["margin"]
+
+
+def test_analyze_tail_extension_finds_the_zero(runner):
+    # the real zero of det at xi = 0.519 lies past xi_max = 0.25: the
+    # doubling loop finds it on [0.5, 1.0] and stops there
+    code, short = _vertex_scan(runner, "--c", "0.37", "--a", "0",
+                               "--xi-max", "0.25")
+    assert code == 1 and not short["invertible"]
+    assert short["xi_max_used"] == 1.0
+    assert short["witness_xi"] == 0.5191561041424595
+    code, full = _vertex_scan(runner, "--c", "0.37", "--a", "0")
+    assert code == 1 and full["witness_xi"] == 0.5191561041425108
+
+
 def test_analyze_error_exit_three(runner, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{\"vertices\": []}")
@@ -169,6 +199,32 @@ def _set(path, value):
     return change
 
 
+def _append(path, value):
+    # a change that appends value to the list at path
+    def change(doc):
+        for key in path:
+            doc = doc[key]
+        doc.append(value)
+    return change
+
+
+def _replace(new):
+    # a change that replaces the whole document
+    def change(doc):
+        doc.clear()
+        doc.update(new)
+    return change
+
+
+def _rule(vertices, edges):
+    return _replace(domain_doc(vertices, edges))
+
+
+SQUARE = {"a": (-1, -1), "b": (1, -1), "c": (1, 1), "d": (-1, 1)}
+SQUARE_EDGES = {"s": ("a", "b"), "e": ("b", "c"), "n": ("c", "d"),
+                "w": ("d", "a")}
+RIM = arc([0, 0], 1.0, 0.0, 2 * math.pi)
+
 # malformed domain files: fixture, change, and the field the error names
 MALFORMED = {
     "vertex-without-y": ("square", _set(("vertices", 0, "y"), DELETE), "'y'"),
@@ -189,6 +245,56 @@ MALFORMED = {
                                                "center"), [0.0]), "'center'"),
     "crack-not-a-boolean": ("slit_square", _set(("edges", 4, "crack"), "no"),
                             "'crack'"),
+    # one case per rule of a valid domain
+    "duplicate-edge-ids": ("square", _set(("edges", 1, "id"), "south"),
+                           "duplicate edge ids"),
+    "line-edge-without-to": ("square", _set(("edges", 0, "to"), DELETE),
+                             "line edge south needs endpoints"),
+    "open-arc-without-endpoints": ("circle", _set(("edges", 0, "params",
+                                                   "theta_end"), 3.0),
+                                   "open arc edge rim needs endpoints"),
+    "unknown-edge-kind": ("square", _set(("edges", 0, "kind"), "spline"),
+                          "unknown edge kind 'spline'"),
+    "vertex-on-no-edge": ("square", _append(("vertices",), {
+        "id": "z", "x": 0.0, "y": 0.0}), "vertices on no edge: ['z']"),
+    "cracks-only": ("slit_square", _rule(
+        {"p": (-0.5, 0), "t": (0.5, 0)}, {"k": ("p", "t", CRACK)}),
+        "domain has no outer boundary"),
+    "closed-arc-beside-edge": ("slit_disk", _set(("edges", 1, "crack"), False),
+                               "a closed arc must be the only boundary edge"),
+    "two-loops": ("square", _rule(
+        {"a": (0, 0), "b": (1, 0), "c": (0, 1),
+         "p": (3, 0), "q": (4, 0), "r": (3, 1)},
+        {"e0": ("a", "b"), "e1": ("b", "c"), "e2": ("c", "a"),
+         "f0": ("p", "q"), "f1": ("q", "r"), "f2": ("r", "p")}),
+        "boundary edges do not form one closed loop"),
+    "closed-arc-at-one-vertex": ("circle", _rule(
+        {"u": (1, 0)}, {"rim": ("u", None, RIM)}),
+        "vertex u: inconsistent boundary loop"),
+    "crack-leaves-the-domain": ("square", _rule(
+        {**SQUARE, "o": (-2, -2)}, {**SQUARE_EDGES, "k": ("a", "o", CRACK)}),
+        "crack at vertex a leaves the interior sector"),
+    "two-cracks-along-one-ray": ("square", _rule(
+        {**SQUARE, "j": (0, 0), "t": (0.2, 0), "u": (0.5, 0)},
+        {**SQUARE_EDGES, "k0": ("j", "t", CRACK), "k1": ("j", "u", CRACK)}),
+        "vertex j has a zero-measure cone-base component"),
+    # the arcs' own ends are (0, 0) and (0, 2), yet both name a vertex at
+    # (0, 0): vertices u and w coincide
+    "coincident-vertices": ("square", _rule(
+        {"u": (0, 0), "w": (0, 0)},
+        {"e0": ("u", "w", arc([0, 1], 1.0, -math.pi / 2, math.pi / 2)),
+         "e1": ("w", "u", arc([0, 1], 1.0, 2.0, math.pi))}),
+        "collar cutoff for u must be positive"),
+    "zero-length-edge": ("square", _replace(
+        MALFORMED_DOMAINS["zero-length-edge"]), "degenerate edge e1"),
+    "overlap": ("square", _replace(MALFORMED_DOMAINS["overlap"]),
+                "edges e0 and e2 intersect"),
+    "t-junction": ("square", _replace(MALFORMED_DOMAINS["t-junction"]),
+                   "edges e0 and e2 intersect"),
+    "crack-tip-on-edge": ("square", _replace(
+        MALFORMED_DOMAINS["crack-tip-on-edge"]), "edges e0 and k intersect"),
+    "horn": ("square", _replace(MALFORMED_DOMAINS["horn"]),
+             "vertex a has a zero-measure cone-base component"),
 }
 
 
@@ -232,6 +338,17 @@ def test_non_finite_numbers_exit_three(runner, name, cmd, opt, value):
     assert res.exit_code == 3, res.output
     assert res.stdout == ""
     assert opt[2:].replace("-", "_") + " = " in res.stderr
+
+
+@pytest.mark.parametrize("a", ["100", "-100"])
+def test_study_weight_beyond_float_range_exits_three(runner, a):
+    # r^(-1/2-a) overflows (a = 100) or underflows (a = -100) on the
+    # 16-node mesh: an input error, raised before assembly, with no warning
+    res = runner.invoke(main, ["study", domain_path("square"), "--a", a,
+                               "--mesh-n", "8", "--mesh-n", "16"])
+    assert res.exit_code == 3, res.output
+    assert res.stdout == ""
+    assert f"weight a = {float(a)}" in res.stderr
 
 
 # -- window ----------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from polyfred.geometry import (
     unfold,
 )
 
-from conftest import ALL_DOMAINS, domain_path
+from conftest import ALL_DOMAINS, MALFORMED_DOMAINS, domain_doc, domain_path
 
 TWO_PI = 2.0 * math.pi
 
@@ -101,23 +102,99 @@ def test_crack_arc_rejected():
         parse_domain(doc)
 
 
-def test_intersecting_edges_rejected():
-    doc = {"vertices": [{"id": "a", "x": -1, "y": -1},
-                        {"id": "b", "x": 1, "y": -1},
-                        {"id": "c", "x": 1, "y": 1},
-                        {"id": "d", "x": -1, "y": 1},
-                        {"id": "p", "x": -0.5, "y": 0.0},
-                        {"id": "q", "x": 0.5, "y": 0.0},
-                        {"id": "r", "x": 0.0, "y": -0.5},
-                        {"id": "s", "x": 0.0, "y": 0.5}],
-           "edges": [{"id": "e0", "from": "a", "to": "b"},
-                     {"id": "e1", "from": "b", "to": "c"},
-                     {"id": "e2", "from": "c", "to": "d"},
-                     {"id": "e3", "from": "d", "to": "a"},
-                     {"id": "k0", "from": "p", "to": "q", "crack": True},
-                     {"id": "k1", "from": "r", "to": "s", "crack": True}]}
+INTERSECTING = {
+    "crossing-cracks": {
+        "vertices": [{"id": "a", "x": -1, "y": -1},
+                     {"id": "b", "x": 1, "y": -1},
+                     {"id": "c", "x": 1, "y": 1},
+                     {"id": "d", "x": -1, "y": 1},
+                     {"id": "p", "x": -0.5, "y": 0.0},
+                     {"id": "q", "x": 0.5, "y": 0.0},
+                     {"id": "r", "x": 0.0, "y": -0.5},
+                     {"id": "s", "x": 0.0, "y": 0.5}],
+        "edges": [{"id": "e0", "from": "a", "to": "b"},
+                  {"id": "e1", "from": "b", "to": "c"},
+                  {"id": "e2", "from": "c", "to": "d"},
+                  {"id": "e3", "from": "d", "to": "a"},
+                  {"id": "k0", "from": "p", "to": "q", "crack": True},
+                  {"id": "k1", "from": "r", "to": "s", "crack": True}]},
+    **MALFORMED_DOMAINS,
+}
+
+
+@pytest.mark.parametrize("name", INTERSECTING)
+def test_intersecting_edges_rejected(name):
     with pytest.raises(DomainError):
+        parse_domain(INTERSECTING[name])
+
+
+def _segments_meet(p, q, r, s) -> bool:
+    """Whether the segments pq and rs cross or come within the validator's
+    tolerance 1e-9 * max(length, 1) of each other, decided in exact
+    rational arithmetic."""
+    p, q, r, s = ([Fraction(c) for c in pt] for pt in (p, q, r, s))
+
+    def orient(u, v, w):
+        return (v[0] - u[0]) * (w[1] - u[1]) - (v[1] - u[1]) * (w[0] - u[0])
+
+    def dist2(u, a, b):
+        # squared distance from u to the segment ab
+        ab = (b[0] - a[0], b[1] - a[1])
+        au = (u[0] - a[0], u[1] - a[1])
+        t = min(max((au[0] * ab[0] + au[1] * ab[1])
+                    / (ab[0] ** 2 + ab[1] ** 2), 0), 1)
+        return (au[0] - t * ab[0]) ** 2 + (au[1] - t * ab[1]) ** 2
+
+    o = [orient(p, q, r), orient(p, q, s), orient(r, s, p), orient(r, s, q)]
+    if o[0] * o[1] < 0 and o[2] * o[3] < 0:
+        return True
+    scale2 = max((q[0] - p[0]) ** 2 + (q[1] - p[1]) ** 2,
+                 (s[0] - r[0]) ** 2 + (s[1] - r[1]) ** 2, 1)
+    return min(dist2(p, r, s), dist2(q, r, s), dist2(r, p, q),
+               dist2(s, p, q)) < Fraction(1e-9) ** 2 * scale2
+
+
+@st.composite
+def star_polygons(draw):
+    """k in 3..7 vertices at sorted polar angles, gaps >= 0.15 (the wrap
+    included), radii in [0.4, 1.6], joined in angle order; with k >= 4,
+    one vertex may be snapped onto an edge it is not on."""
+    k = draw(st.integers(3, 7))
+    shares = draw(st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k))
+    if not sum(shares):
+        shares = [1.0] * k
+    gaps = [0.15 + (TWO_PI - 0.15 * k) * w / sum(shares) for w in shares]
+    start = draw(st.floats(0.0, TWO_PI))
+    angles = [start + sum(gaps[:i]) for i in range(k)]
+    radii = draw(st.lists(st.floats(0.4, 1.6), min_size=k, max_size=k))
+    pts = [(r * math.cos(t), r * math.sin(t)) for r, t in zip(radii, angles)]
+    if k >= 4 and draw(st.booleans()):
+        i = draw(st.integers(0, k - 1))
+        j = (i + draw(st.integers(1, k - 2))) % k     # edge j -> j+1 misses i
+        s = draw(st.floats(0.05, 0.95))
+        (x0, y0), (x1, y1) = pts[j], pts[(j + 1) % k]
+        pts[i] = (x0 + s * (x1 - x0), y0 + s * (y1 - y0))
+    return pts
+
+
+@settings(max_examples=300, deadline=None)
+@given(star_polygons())
+def test_polygon_accepted_iff_no_edges_meet(pts):
+    # an independent oracle for the gap rule on straight edges: exact
+    # orientation predicates on every pair of edges that share no vertex
+    k = len(pts)
+    edges = [(pts[i], pts[(i + 1) % k]) for i in range(k)]
+    meet = any(_segments_meet(*edges[i], *edges[j])
+               for i in range(k) for j in range(i + 2, k)
+               if (j + 1) % k != i)
+    doc = domain_doc({f"v{i}": p for i, p in enumerate(pts)},
+                     {f"e{i}": (f"v{i}", f"v{(i + 1) % k}") for i in range(k)})
+    try:
         parse_domain(doc)
+        accepted = True
+    except DomainError:
+        accepted = False
+    assert accepted == (not meet)
 
 
 # -- loop orientation and angles -------------------------------------------

@@ -786,26 +786,31 @@ def test_smallest_singular_values_crack_fallback(tcrack_square, monkeypatch):
 
 
 def test_smallest_singular_values_fallback_in_place(square, monkeypatch):
-    # the dense fallback reuses the LU's buffer for its copy of B, so it
-    # holds no third N x N array; gesvd gets a fresh copy after gesdd fails
+    # the dense fallback is one SVD, run in the LU's buffer on a copy of
+    # B, so it holds no third N x N array
     B, twin = _study_matrix(square, 1.0, 0.0, 16)
     B0 = B.copy()
-    seen = []
+    lus, calls = [], []
+    dgetrf = lp.lapack.dgetrf
 
-    def gesdd_fails(a, compute_uv, overwrite_a, check_finite,
-                    lapack_driver="gesdd"):
-        seen.append(lapack_driver)
-        assert a is not B and a.flags.f_contiguous and overwrite_a
+    def record_lu(a):
+        out = dgetrf(a)
+        lus.append(out[0])
+        return out
+
+    def svd(a, compute_uv, overwrite_a, check_finite):
+        calls.append(a)
+        assert a.flags.f_contiguous and overwrite_a
         assert np.array_equal(a, B0)
         a[...] = np.nan
-        if lapack_driver == "gesdd":
-            raise np.linalg.LinAlgError("forced")
         return np.arange(len(a), 0.0, -1.0)
 
+    monkeypatch.setattr(lp.lapack, "dgetrf", record_lu)
     monkeypatch.setattr(lp, "eigsh", _no_lanczos_convergence)
-    monkeypatch.setattr(scipy.linalg, "svd", gesdd_fails)
+    monkeypatch.setattr(scipy.linalg, "svd", svd)
     assert np.array_equal(_smallest_singular_values(B, 2, twin), [1.0, 2.0])
-    assert seen == ["gesdd", "gesvd"] and np.array_equal(B, B0)
+    assert len(calls) == 1 and calls[0] is lus[0]
+    assert np.array_equal(B, B0)
 
 
 def test_smallest_singular_values_repeated_minimum(square):
