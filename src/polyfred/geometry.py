@@ -171,6 +171,12 @@ class ConicalDomain:
         if len(self.edges) != len(edges):
             raise DomainError("duplicate edge ids")
         self._validate_refs()
+        # two boundary points closer than this count as one: 1e-9 of the
+        # domain's extent, its largest edge length or vertex coordinate
+        self.tol = 1e-9 * max(
+            [e.length(self) for e in self.edges.values()]
+            + [abs(x) for v in self.vertices.values() for x in (v.x, v.y)])
+        self._validate_arc_ends()
         self.loop = self._build_loop()          # [(edge_id, forward)], CCW
         self._validate_no_intersections()
         self.vertex_info: dict[str, VertexInfo] = self._analyze_vertices()
@@ -208,6 +214,18 @@ class ConicalDomain:
         lonely = set(self.vertices) - used
         if lonely:
             raise DomainError(f"vertices on no edge: {sorted(lonely)}")
+
+    def _validate_arc_ends(self):
+        """An arc's ends lie within tol of its from and to vertices."""
+        for e in self.edges.values():
+            if e.kind != "arc":
+                continue
+            for s, vid, verb in ((0.0, e.v_from, "start"),
+                                 (1.0, e.v_to, "end")):
+                if vid is not None and np.linalg.norm(
+                        e.point(s, self) - self.vertex(vid).pos) > self.tol:
+                    raise DomainError(f"arc {e.id} does not {verb} at its "
+                                      f"vertex {vid}")
 
     def _build_loop(self):
         """Chain the non-crack edges into a single closed CCW loop."""
@@ -259,8 +277,8 @@ class ConicalDomain:
         return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
     def _validate_no_intersections(self):
-        """Edges that share no vertex keep a positive gap between their
-        polylines."""
+        """Edges that share no vertex keep a gap of at least tol between
+        their polylines."""
         polys = {eid: e.polyline(self) for eid, e in self.edges.items()}
         ids = list(self.edges)
         for i, ei in enumerate(ids):
@@ -268,8 +286,7 @@ class ConicalDomain:
                 a, b = self.edges[ei], self.edges[ej]
                 if {a.v_from, a.v_to} & {b.v_from, b.v_to} - {None}:
                     continue                    # a shared vertex
-                scale = max(a.length(self), b.length(self), 1.0)
-                if _polyline_gap(polys[ei], polys[ej]) < 1e-9 * scale:
+                if _polyline_gap(polys[ei], polys[ej]) < self.tol:
                     raise DomainError(f"edges {ei} and {ej} intersect")
 
     def _incident_rays(self, vid: str) -> list[Ray]:

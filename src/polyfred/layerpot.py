@@ -66,9 +66,9 @@ class BoundaryMesh:
     weights: np.ndarray              # (N,) arclength quadrature weights
     curvatures: np.ndarray           # (N,) signed curvature along traversal
     r: np.ndarray                    # (N,) smoothed distance to the vertex set
-    base_index: np.ndarray           # (N,) index of the underlying edge
+    base_index: np.ndarray           # (N,) int32, index of the underlying edge
     straight: np.ndarray             # (N,) bool, node on a straight edge
-    twin: np.ndarray                 # (N,) twin-sheet node index, -1 if none
+    twin: np.ndarray                 # (N,) int32, twin-sheet node, -1 if none
     panel_a: np.ndarray              # (N, 2) panel start, traversal order
     panel_b: np.ndarray              # (N, 2) panel end, traversal order
     slices: dict                     # uedge uid -> slice of node indices
@@ -153,7 +153,7 @@ def graded_mesh(u: UnfoldedDomain, n: int = 16, q: float = 0.5,
         slices[ue.uid] = slice(pos, pos + m)
         pos += m
 
-    twin = np.full(pos, -1, dtype=int)
+    twin = np.full(pos, -1, dtype=np.int32)
     for ue in u.uedges.values():
         if ue.twin_uid is None:
             continue
@@ -165,7 +165,8 @@ def graded_mesh(u: UnfoldedDomain, n: int = 16, q: float = 0.5,
     return BoundaryMesh(
         np.vstack(pts), np.vstack(nus), np.concatenate(ws),
         np.concatenate(curs), np.concatenate(rs),
-        np.concatenate(bidx).astype(int), np.concatenate(stra).astype(bool),
+        np.concatenate(bidx).astype(np.int32),
+        np.concatenate(stra).astype(bool),
         twin, np.vstack(pas), np.vstack(pbs), slices)
 
 
@@ -193,34 +194,29 @@ def panel_potentials(targets, mesh: BoundaryMesh) -> np.ndarray:
     return np.nan_to_num(ang / math.pi)
 
 
-def _weighted_kernel(targets: np.ndarray, mesh: BoundaryMesh,
-                     out: np.ndarray) -> np.ndarray:
-    """Fill out (M, N) with k(x_i, y_j) w_j for targets x_i and the mesh
-    nodes y_j, and return it.
+def _weighted_kernel(x, mesh: BoundaryMesh, J, out: np.ndarray) -> np.ndarray:
+    """Fill out with k(x, y_j) w_j for the points x = (x1, x2) and the mesh
+    nodes y_j, j in J, all broadcast to out's shape, and return it.
 
-    The x and y coordinate differences are two (M, N) temporaries updated
-    in place.  A coincident pair (r = 0) gets 0.
+    The x and y coordinate differences and the square of the latter are
+    the temporaries, updated in place.  A coincident pair (r = 0) gets 0.
     """
-    tx, ty = targets[:, 0], targets[:, 1]
-    px, py = mesh.points[:, 0], mesh.points[:, 1]
-    dx = np.subtract.outer(tx, px)
-    num = np.multiply(dx, mesh.normals[:, 0], out=out)
+    (tx, ty), px, py = x, mesh.points[J, 0], mesh.points[J, 1]
+    dx = np.subtract(tx, px)
+    num = np.multiply(dx, mesh.normals[J, 0], out=out)
     r2 = dx
     r2 *= dx
-    # dy is formed twice, once per product: a copy kept for the second
-    # product would be a third temporary
-    dy = np.subtract.outer(ty, py)
-    dy *= mesh.normals[:, 1]
+    dy = np.subtract(ty, py)
+    dy2 = dy * dy
+    dy *= mesh.normals[J, 1]
     num += dy
-    np.subtract.outer(ty, py, out=dy)
-    dy *= dy
-    r2 += dy
+    r2 += dy2
     degenerate = r2 == 0.0
     r2[degenerate] = 1.0
     r2 *= math.pi
     num /= r2
     # -(num / (pi r2)) w_j: negating the weights instead is exact
-    num *= -mesh.weights
+    num *= -mesh.weights[J]
     num[degenerate] = 0.0
     return num
 
@@ -229,8 +225,37 @@ def double_layer_potential(targets, mesh: BoundaryMesh,
                            density: np.ndarray) -> np.ndarray:
     """Quadrature of the double layer potential of a nodal density."""
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    K = _weighted_kernel(targets, mesh, np.empty((len(targets), mesh.size)))
+    K = _weighted_kernel((targets[:, :1], targets[:, 1:]), mesh, slice(None),
+                         np.empty((len(targets), mesh.size)))
     return K @ np.asarray(density, dtype=float)
+
+
+def _nystrom_entries(mesh: BoundaryMesh, I, J, c: float = 0.0,
+                     D: np.ndarray | None = None,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    """The entries (I, J) of A, or of D (c I + A) D^{-1} when the diagonal
+    D is given, for node index arrays I and J that broadcast together.
+
+    Each entry comes from the same operations in the same order, whichever
+    others are built with it, so a row, a column or a 2 x 2 block built
+    alone is bitwise that of the whole matrix.  They are written to out
+    when it is given.
+    """
+    if out is None:
+        out = np.empty(np.broadcast_shapes(np.shape(I), np.shape(J)))
+    _weighted_kernel((mesh.points[I, 0], mesh.points[I, 1]), mesh, J, out)
+    # a straight node's edge index; -1 on curved edges matches no node
+    straight_edge = np.where(mesh.straight, mesh.base_index, -1)
+    out[straight_edge[I] == mesh.base_index[J]] = 0.0
+    # smooth diagonal limit k(x, x) = kappa(x) / (2 pi)
+    eye = I == J
+    np.copyto(out, mesh.curvatures[I] * mesh.weights[I] / (2.0 * math.pi),
+              where=eye)
+    np.subtract(out, 1.0, out=out, where=mesh.twin[I] == J)
+    if D is not None:
+        np.add(out, c, out=out, where=eye)
+        out *= D[I] / D[J]
+    return out
 
 
 # entries per block temporary: at N = 1760 (one thread) the weighted
@@ -245,21 +270,12 @@ def _nystrom_matrix(mesh: BoundaryMesh, c: float = 0.0,
     _BLOCK_ELEMENTS entries that stay in cache."""
     N = mesh.size
     out = np.empty((N, N))
-    # a straight node's edge index; -1 on curved edges matches no node
-    straight_edge = np.where(mesh.straight, mesh.base_index, -1)
-    diag = mesh.curvatures * mesh.weights / (2.0 * math.pi)
+    # int32 indices: the masks compare them over every entry of a block
+    nodes = np.arange(N, dtype=np.int32)
     step = max(1, _BLOCK_ELEMENTS // N)
     for i0 in range(0, N, step):
-        i1 = min(i0 + step, N)
-        rows, k, twin = out[i0:i1], np.arange(i1 - i0), mesh.twin[i0:i1]
-        _weighted_kernel(mesh.points[i0:i1], mesh, rows)
-        rows[np.equal.outer(straight_edge[i0:i1], mesh.base_index)] = 0.0
-        # smooth diagonal limit k(x, x) = kappa(x) / (2 pi)
-        rows[k, i0 + k] = diag[i0:i1]
-        rows[k[twin >= 0], twin[twin >= 0]] -= 1.0
-        if D is not None:
-            rows[k, i0 + k] += c
-            rows *= np.divide.outer(D[i0:i1], D)
+        _nystrom_entries(mesh, nodes[i0:i0 + step, None], nodes, c, D,
+                         out[i0:i0 + step])
     return out
 
 
@@ -458,38 +474,78 @@ class StudyResult:
     slope: float | None              # None when the finest sigma is rounding level
 
 
-def weighted_discrete_operator(d, c: float, a: float, mesh: BoundaryMesh
-                               ) -> np.ndarray:
-    """D (c I + A) D^{-1} with D the diagonal realizing the weight-a pairing,
-    assembled, shifted and scaled in blocks of rows: besides the result
-    only small temporaries are live.  A weight whose D, or whose scale
-    D.max()/D.min(), leaves the float range raises ValueError."""
+def _weight_diagonal(mesh: BoundaryMesh, a: float) -> np.ndarray:
+    """D = sqrt(w) r^(-1/2-a), the diagonal realizing the weight-a pairing
+    on the mesh.  A weight whose D, or whose scale D.max()/D.min(), leaves
+    the float range raises ValueError."""
     with np.errstate(all="ignore"):
         D = np.sqrt(mesh.weights) * mesh.r ** (-(0.5 + a))
         ratio = D.max() / D.min()        # inf or nan if D over- or underflows
     if not np.isfinite(ratio):
         raise ValueError(f"weight a = {a} takes the weight r^(-1/2-a) of the "
                          f"{mesh.size}-node mesh beyond the float range")
+    return D
+
+
+def weighted_discrete_operator(d, c: float, a: float, mesh: BoundaryMesh,
+                               D: np.ndarray | None = None) -> np.ndarray:
+    """D (c I + A) D^{-1} with D the diagonal realizing the weight-a pairing,
+    assembled, shifted and scaled in blocks of rows: besides the result
+    only small temporaries are live.  D is ``_weight_diagonal(mesh, a)``,
+    computed here unless the caller has it; a weight that takes it beyond
+    the float range raises ValueError.  A study builds this matrix only
+    when its twin search (``_twin_null_vectors``) misses."""
+    if D is None:
+        D = _weight_diagonal(mesh, a)
     return _nystrom_matrix(mesh, c, D)
 
 
-def _smallest_singular_values(B: np.ndarray, k: int,
-                              twin: np.ndarray) -> np.ndarray:
+def _twin_null_vectors(mesh: BoundaryMesh, c: float, D: np.ndarray,
+                       k: int) -> bool:
+    """Whether k twin node pairs give exact null vectors of
+    B = D (c I + A) D^{-1}, decided without building B.
+
+    Twin nodes of a straight crack sit at one point, so at c = -1 their
+    rows of B can be equal and at c = +1 their columns opposite.  k
+    disjoint pairs with rows exactly equal, or k with columns exactly
+    opposite, give k null vectors e_i -+ e_t, so the k smallest singular
+    values of B are exactly 0.0.  Every pair's 2 x 2 twin block is built
+    first; only a pair that passes it has its two rows (or columns) built
+    and compared, and the search stops at k.  The entries come from the
+    rule that builds B (``_nystrom_entries``), bit for bit, so the answer
+    is a fact about B itself.
+    """
+    nodes = np.arange(mesh.size)
+    i = np.flatnonzero(mesh.twin > nodes)
+    pairs = np.stack([i, mesh.twin[i]], axis=1)
+    # block p is [[B_ii, B_it], [B_ti, B_tt]] for pairs[p] = (i, t)
+    blocks = _nystrom_entries(mesh, pairs[:, :, None], pairs[:, None, :],
+                              c, D)
+    b_ii, b_it, b_ti, b_tt = blocks.reshape(-1, 4).T
+    # s = 1: rows B_i = B_t; s = -1: columns B^T_i = -B^T_t
+    for s, passed in ((1.0, (b_ii == b_ti) & (b_it == b_tt)),
+                      (-1.0, (b_ii == -b_it) & (b_ti == -b_tt))):
+        found = 0
+        for pair in pairs[passed]:
+            if s > 0:
+                M = _nystrom_entries(mesh, pair[:, None], nodes, c, D)
+            else:
+                M = _nystrom_entries(mesh, nodes[:, None], pair, c, D).T
+            found += np.array_equal(M[0], s * M[1])
+            if found == k:
+                return True
+    return False
+
+
+def _smallest_singular_values(B: np.ndarray, k: int) -> np.ndarray:
     """The k smallest singular values of the square matrix B, ascending.
 
-    twin is the mesh's twin map.  Twin nodes of a straight crack sit at one
-    point, so at c = -1 their rows of B can be equal and at c = +1 their
-    columns opposite.  If k disjoint pairs have rows exactly equal, or k
-    have columns exactly opposite, each gives a null vector e_i -+ e_t, so
-    the k values are exactly 0.0, with no factorization.  Each pair is
-    decided from its 2 x 2 twin block before whole rows or columns are
-    compared, and the search stops at k.  Otherwise B is factored once by
-    LU.  Pivots below eps * max|U_ii| are set to +-eps * max|U_ii|, a
-    rounding-size backward perturbation like the dense SVD's own.  Lanczos
-    (ARPACK, fixed start vector) then finds the largest eigenvalue
-    1/sigma^2 of x -> B^-T B^-1 x, k times in turn, each time with the
-    singular pairs found so far projected out on both sides, so a repeated
-    smallest singular value is found as often as it occurs.  Its
+    B is factored once by LU.  Pivots below eps * max|U_ii| are set to
+    +-eps * max|U_ii|, a rounding-size backward perturbation like the dense
+    SVD's own.  Lanczos (ARPACK, fixed start vector) then finds the largest
+    eigenvalue 1/sigma^2 of x -> B^-T B^-1 x, k times in turn, each time
+    with the singular pairs found so far projected out on both sides, so a
+    repeated smallest singular value is found as often as it occurs.  Its
     eigenvector u is a left singular vector, and v = B^-1 u (orthogonal to
     the earlier v) the right one.  Each sigma is the Rayleigh value u^T B v
     of B itself, and the residual r of the pair, also computed with B, puts
@@ -500,19 +556,11 @@ def _smallest_singular_values(B: np.ndarray, k: int,
     LU's buffer.
     """
     n = len(B)
-    i = np.flatnonzero(twin > np.arange(n))
-    t = twin[i]
-    # M[j] == s * M[twin[j]]: rows equal (M = B), columns opposite (M = B^T)
-    for M, s in ((B, 1.0), (B.T, -1.0)):
-        found = 0
-        for j in i[(M[i, i] == s * M[t, i]) & (M[i, t] == s * M[t, t])]:
-            found += np.array_equal(M[j], s * M[twin[j]])
-            if found == k:
-                return np.zeros(k)
     lu, piv, _ = lapack.dgetrf(B)
     pivots = np.abs(lu.diagonal())
     floor = np.finfo(float).eps * pivots.max()
-    if k < n and floor > 0.0 and np.isfinite(lu).all():
+    # NaN and +-inf show in the extremes: no N x N mask is made
+    if k < n and floor > 0.0 and np.isfinite([lu.min(), lu.max()]).all():
         tiny = np.flatnonzero(pivots < floor)
         lu[tiny, tiny] = np.copysign(floor, lu[tiny, tiny])
         x0 = np.random.default_rng(0).standard_normal(n)
@@ -572,16 +620,20 @@ def min_singular_value_study(d, c: float, a: float,
     truncated graded meshes readmit them as slowly vanishing pseudo-modes,
     so bounded-below operators can still show decay there.
 
-    Per mesh only the deflate + 1 smallest singular values are computed
-    (``_smallest_singular_values``).  On a crack at c = +-1 they are
-    exactly 0.0 when that many twin node pairs have equal rows or opposite
-    columns in the weighted matrix.  Otherwise the matrix is factored
-    by LU, and Lanczos on its inverse Gram operator finds them, each
-    value certified by a residual computed with the matrix itself.  An
-    uncertified value, an ARPACK error or non-finite output sends the mesh
-    to the dense SVD.  Values below ROUNDING_SIGMA are rounding level with
-    any method.  c and a must be finite, and a must keep the weight within
-    the float range (``weighted_discrete_operator``).
+    Per mesh only the deflate + 1 smallest singular values are computed.
+    The weight diagonal is computed first, and a weight beyond the float
+    range raises ValueError (``_weight_diagonal``).  On a domain with
+    cracks the twin node pairs are searched next, before any matrix is
+    built (``_twin_null_vectors``): when deflate + 1 of them have exactly
+    equal rows, or opposite columns, in the weighted matrix (at c = +-1),
+    every value is exactly 0.0 and no N x N array is made.  Otherwise the
+    weighted matrix is assembled (``weighted_discrete_operator``) and
+    factored by LU, and Lanczos on its inverse Gram operator finds the
+    values (``_smallest_singular_values``), each certified by a residual
+    computed with the matrix itself.  An uncertified value, an ARPACK
+    error or non-finite output sends the mesh to the dense SVD.  Values
+    below ROUNDING_SIGMA are rounding level with any method.  c and a must
+    be finite.
     """
     _check_finite(c=c, a=a)
     if deflate < 0:
@@ -598,8 +650,11 @@ def min_singular_value_study(d, c: float, a: float,
         if deflate >= mesh.size:
             raise ValueError(f"deflate {deflate} leaves no singular value "
                              f"of a {mesh.size}-node mesh")
-        B = weighted_discrete_operator(d, c, a, mesh)
-        sigma = _smallest_singular_values(B, 1 + deflate, mesh.twin)[-1]
+        D = _weight_diagonal(mesh, a)
+        if d.has_cracks and _twin_null_vectors(mesh, c, D, 1 + deflate):
+            return (n, mesh.size, 0.0)
+        B = weighted_discrete_operator(d, c, a, mesh, D)
+        sigma = _smallest_singular_values(B, 1 + deflate)[-1]
         return (n, mesh.size, float(sigma))
 
     # one call per mesh, so each matrix is freed before the next is built

@@ -76,6 +76,11 @@ MALFORMED_DOMAINS = {
         {"e0": ("a", "b", arc([0, 2], 2.0, -math.pi / 2, 0.0)),
          "e1": ("b", "c"),
          "e2": ("c", "a", arc([0, 1], 1.0, 0.0, -math.pi / 2))}),
+    # the arc n runs from (4.90, 0.99) to (4.39, 2.40), far from c and d
+    "arc-off-its-vertices": domain_doc(
+        {"a": (-1, -1), "b": (1, -1), "c": (1, 1), "d": (-1, 1)},
+        {"s": ("a", "b"), "e": ("b", "c"),
+         "n": ("c", "d", arc([0, 0], 5.0, 0.2, 0.5)), "w": ("d", "a")}),
 }
 
 

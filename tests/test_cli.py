@@ -278,12 +278,12 @@ MALFORMED = {
         {**SQUARE, "j": (0, 0), "t": (0.2, 0), "u": (0.5, 0)},
         {**SQUARE_EDGES, "k0": ("j", "t", CRACK), "k1": ("j", "u", CRACK)}),
         "vertex j has a zero-measure cone-base component"),
-    # the arcs' own ends are (0, 0) and (0, 2), yet both name a vertex at
-    # (0, 0): vertices u and w coincide
+    # each arc winds twice around its circle, so it starts and ends at
+    # (0, 0), where the vertices u and w coincide
     "coincident-vertices": ("square", _rule(
         {"u": (0, 0), "w": (0, 0)},
-        {"e0": ("u", "w", arc([0, 1], 1.0, -math.pi / 2, math.pi / 2)),
-         "e1": ("w", "u", arc([0, 1], 1.0, 2.0, math.pi))}),
+        {"e0": ("u", "w", arc([0, 1], 1.0, -math.pi / 2, 3.5 * math.pi)),
+         "e1": ("w", "u", arc([0, -1], 1.0, math.pi / 2, 4.5 * math.pi))}),
         "collar cutoff for u must be positive"),
     "zero-length-edge": ("square", _replace(
         MALFORMED_DOMAINS["zero-length-edge"]), "degenerate edge e1"),
@@ -295,6 +295,9 @@ MALFORMED = {
         MALFORMED_DOMAINS["crack-tip-on-edge"]), "edges e0 and k intersect"),
     "horn": ("square", _replace(MALFORMED_DOMAINS["horn"]),
              "vertex a has a zero-measure cone-base component"),
+    "arc-off-its-vertices": ("square", _replace(
+        MALFORMED_DOMAINS["arc-off-its-vertices"]),
+        "arc n does not start at its vertex c"),
 }
 
 
@@ -349,6 +352,18 @@ def test_study_weight_beyond_float_range_exits_three(runner, a):
     assert res.exit_code == 3, res.output
     assert res.stdout == ""
     assert f"weight a = {float(a)}" in res.stderr
+
+
+@pytest.mark.parametrize("c, a", [("1", "100"), ("-1", "-100")])
+def test_crack_study_weight_beyond_float_range_exits_three(runner, c, a):
+    # the weight is checked before the twin pairs are searched, so a crack
+    # study at c = +-1 does not answer from rows of +-inf
+    res = runner.invoke(main, ["study", domain_path("slit_square"), "--c", c,
+                               "--a", a])
+    assert res.exit_code == 3, res.output
+    assert res.stdout == ""
+    assert (f"weight a = {float(a)} takes the weight r^(-1/2-a) of the "
+            "192-node mesh beyond the float range") in res.stderr
 
 
 # -- window ----------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Domain parsing, vertex analysis, unfolding, and distance functions."""
 
+import copy
 import json
 import math
 from fractions import Fraction
@@ -128,10 +129,35 @@ def test_intersecting_edges_rejected(name):
         parse_domain(INTERSECTING[name])
 
 
-def _segments_meet(p, q, r, s) -> bool:
-    """Whether the segments pq and rs cross or come within the validator's
-    tolerance 1e-9 * max(length, 1) of each other, decided in exact
-    rational arithmetic."""
+def _scaled(doc, f):
+    # the domain document with every length multiplied by f
+    doc = copy.deepcopy(doc)
+    for v in doc["vertices"]:
+        v["x"], v["y"] = f * v["x"], f * v["y"]
+    for e in doc["edges"]:
+        if "params" in e:
+            p = e["params"]
+            p["center"] = [f * x for x in p["center"]]
+            p["radius"] = f * p["radius"]
+    return doc
+
+
+@pytest.mark.parametrize("f", (1e-10, 1e-8, 1e4))
+def test_validation_is_scale_free(f):
+    # the gap tolerance scales with the domain: the square accepted at
+    # every scale with the same angles, and every malformed domain rejected
+    with open(domain_path("square")) as fh:
+        doc = json.load(fh)
+    want = interior_angles(parse_domain(doc))
+    assert interior_angles(parse_domain(_scaled(doc, f))) == want
+    for bad in MALFORMED_DOMAINS.values():
+        with pytest.raises(DomainError):
+            parse_domain(_scaled(bad, f))
+
+
+def _segments_meet(p, q, r, s, tol) -> bool:
+    """Whether the segments pq and rs cross or come within tol of each
+    other, decided in exact rational arithmetic."""
     p, q, r, s = ([Fraction(c) for c in pt] for pt in (p, q, r, s))
 
     def orient(u, v, w):
@@ -148,10 +174,8 @@ def _segments_meet(p, q, r, s) -> bool:
     o = [orient(p, q, r), orient(p, q, s), orient(r, s, p), orient(r, s, q)]
     if o[0] * o[1] < 0 and o[2] * o[3] < 0:
         return True
-    scale2 = max((q[0] - p[0]) ** 2 + (q[1] - p[1]) ** 2,
-                 (s[0] - r[0]) ** 2 + (s[1] - r[1]) ** 2, 1)
     return min(dist2(p, r, s), dist2(q, r, s), dist2(r, p, q),
-               dist2(s, p, q)) < Fraction(1e-9) ** 2 * scale2
+               dist2(s, p, q)) < Fraction(tol) ** 2
 
 
 @st.composite
@@ -184,7 +208,11 @@ def test_polygon_accepted_iff_no_edges_meet(pts):
     # orientation predicates on every pair of edges that share no vertex
     k = len(pts)
     edges = [(pts[i], pts[(i + 1) % k]) for i in range(k)]
-    meet = any(_segments_meet(*edges[i], *edges[j])
+    # the validator's tolerance: 1e-9 of the largest edge length or
+    # vertex coordinate
+    tol = 1e-9 * max([math.dist(*e) for e in edges]
+                     + [abs(x) for p in pts for x in p])
+    meet = any(_segments_meet(*edges[i], *edges[j], tol)
                for i in range(k) for j in range(i + 2, k)
                if (j + 1) % k != i)
     doc = domain_doc({f"v{i}": p for i, p in enumerate(pts)},

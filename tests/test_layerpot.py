@@ -1,5 +1,6 @@
 """Nystrom assembly, graded meshes, Dirichlet harness, and sigma_min studies."""
 
+import functools
 import itertools
 import math
 import tracemalloc
@@ -29,7 +30,7 @@ from polyfred.layerpot import (
     weighted_discrete_operator,
 )
 
-from conftest import ALL_DOMAINS, domain_path
+from conftest import ALL_DOMAINS, CRACK_DOMAINS, domain_path
 
 INV_2PI = 1.0 / (2.0 * math.pi)
 
@@ -315,6 +316,32 @@ def test_blocked_assembly_matches_whole_matrix(name):
                                   _whole_matrix(mesh, c, -0.25))
 
 
+@pytest.mark.parametrize("name", CRACK_DOMAINS + ("square",))
+@pytest.mark.parametrize("c", (1.0, -1.0, 0.5, -0.6))
+@pytest.mark.parametrize("n", (8, 32))
+def test_entries_built_alone_match_the_matrix(name, c, n):
+    # rows, columns and 2 x 2 blocks built on their own are bitwise those
+    # of the whole matrix, unweighted and at two weights
+    d = pf.parse_domain(domain_path(name))
+    mesh = _mesh_for(d, n, 0.5, max(4, min(n // 2, 24)))
+    nodes = np.arange(mesh.size)
+    rng = np.random.default_rng(n)
+    idx = rng.choice(mesh.size, 7, replace=False)
+    i = np.flatnonzero(mesh.twin > nodes)
+    # the twin pairs, or on the square random pairs of distinct nodes
+    pairs = (np.stack([i, mesh.twin[i]], axis=1) if len(i)
+             else rng.choice(mesh.size, (5, 2), replace=False))
+    for D in (None, lp._weight_diagonal(mesh, -0.25),
+              lp._weight_diagonal(mesh, -0.45)):
+        whole = lp._nystrom_matrix(mesh, c, D)
+        entries = functools.partial(lp._nystrom_entries, mesh, c=c, D=D)
+        assert np.array_equal(entries(idx[:, None], nodes), whole[idx])
+        assert np.array_equal(entries(nodes[:, None], idx), whole[:, idx])
+        assert np.array_equal(
+            entries(pairs[:, :, None], pairs[:, None, :]),
+            whole[pairs[:, :, None], pairs[:, None, :]])
+
+
 def _peak_bytes(fn, *args):
     tracemalloc.start()
     try:
@@ -542,18 +569,20 @@ def test_study_circle_constants_kernel(circle):
 
 # -- smallest singular values ----------------------------------------------
 
-def _dense_smallest(B, k, twin=None):
+def _dense_smallest(B, k):
     return np.linalg.svd(B, compute_uv=False)[::-1][:k]
 
 
-def _study_matrix(d, c, a, n):
-    # the weighted matrix of the study's mesh and that mesh's twin map
+def _study_mesh(d, a, n):
+    # the study's mesh and its weight diagonal
     mesh = _mesh_for(d, n, 0.5, max(4, min(n // 2, 24)))
-    return weighted_discrete_operator(d, c, a, mesh), mesh.twin
+    return mesh, lp._weight_diagonal(mesh, a)
 
 
-def _no_twins(B):
-    return np.full(len(B), -1)
+def _study_matrix(d, c, a, n):
+    # the weighted matrix of the study's mesh
+    mesh, D = _study_mesh(d, a, n)
+    return weighted_discrete_operator(d, c, a, mesh, D)
 
 
 def _no_dense_svd(*args, **kwargs):
@@ -576,6 +605,7 @@ def test_smallest_singular_values_match_dense(name, monkeypatch):
                                                 mesh_sizes=(8, 16, 32),
                                                 deflate=deflate)
             with monkeypatch.context() as m:
+                m.setattr(lp, "_twin_null_vectors", _no_twin_pairs)
                 m.setattr(lp, "_smallest_singular_values", _dense_smallest)
                 dense = min_singular_value_study(d, c, 0.0,
                                                  mesh_sizes=(8, 16, 32),
@@ -591,15 +621,15 @@ def test_smallest_singular_values_match_dense(name, monkeypatch):
 @pytest.mark.filterwarnings("error")
 def test_smallest_singular_values_exact_zero_pivot(tcrack_square,
                                                    monkeypatch):
-    # c = -1 on the T-shaped crack is exactly singular; without the twin map
-    # LU meets a pivot that is exactly zero, which must neither warn nor
-    # leave the fast path
-    B, _ = _study_matrix(tcrack_square, -1.0, -0.25, 8)
+    # c = -1 on the T-shaped crack is exactly singular; the LU, which does
+    # not look for twin pairs, meets a pivot that is exactly zero, which
+    # must neither warn nor leave the fast path
+    B = _study_matrix(tcrack_square, -1.0, -0.25, 8)
     lu = scipy.linalg.lapack.dgetrf(B)[0]
     assert np.any(np.diagonal(lu) == 0.0)
     want = _dense_smallest(B, 2)
     monkeypatch.setattr(np.linalg, "svd", _no_dense_svd)
-    got = _smallest_singular_values(B, 2, _no_twins(B))
+    got = _smallest_singular_values(B, 2)
     assert np.all(got <= 1e-12) and np.all(want <= 1e-12)
 
 
@@ -609,8 +639,8 @@ def test_smallest_singular_values_fallback_on_no_convergence(square,
         raise ArpackNoConvergence("forced", np.zeros(0), np.zeros((0, 0)))
 
     monkeypatch.setattr(lp, "eigsh", no_convergence)
-    B, twin = _study_matrix(square, -1.0, 0.0, 16)
-    assert np.array_equal(_smallest_singular_values(B, 2, twin),
+    B = _study_matrix(square, -1.0, 0.0, 16)
+    assert np.array_equal(_smallest_singular_values(B, 2),
                           _dense_smallest(B, 2))
 
 
@@ -622,8 +652,8 @@ def test_smallest_singular_values_fallback_on_failed_certificate(square,
         return np.ones(k), (v0 / np.linalg.norm(v0))[:, None]
 
     monkeypatch.setattr(lp, "eigsh", wrong_vector)
-    B, twin = _study_matrix(square, 1.0, 0.0, 16)
-    assert np.array_equal(_smallest_singular_values(B, 1, twin),
+    B = _study_matrix(square, 1.0, 0.0, 16)
+    assert np.array_equal(_smallest_singular_values(B, 1),
                           _dense_smallest(B, 1))
 
 
@@ -632,8 +662,8 @@ def test_smallest_singular_values_circle_deflated(circle):
     # -I + K annihilates constants; the rest of the spectrum is exactly 1 on
     # the circle, and the huge 1/sigma_1^2 must not hide it
     for n in (8, 16, 32, 64):
-        B, twin = _study_matrix(circle, -1.0, 0.0, n)
-        got = _smallest_singular_values(B, 2, twin)
+        B = _study_matrix(circle, -1.0, 0.0, n)
+        got = _smallest_singular_values(B, 2)
         assert got[0] <= 1e-12
         assert abs(got[1] - 1.0) <= 1e-10
 
@@ -655,7 +685,21 @@ def _no_lu(*args, **kwargs):
     raise AssertionError("the LU ran")
 
 
+def _no_full_matrix(*args, **kwargs):
+    raise AssertionError("the full matrix was built")
+
+
+def _no_twin_pairs(*args):
+    return False
+
+
+def _no_twin_search(*args):
+    raise AssertionError("the twin search ran")
+
+
 def _only_twin_pairs(monkeypatch):
+    monkeypatch.setattr(lp, "weighted_discrete_operator", _no_full_matrix)
+    monkeypatch.setattr(lp, "_nystrom_matrix", _no_full_matrix)
     monkeypatch.setattr(scipy.linalg.lapack, "dgetrf", _no_lu)
     monkeypatch.setattr(lp, "eigsh", _no_lanczos)
     monkeypatch.setattr(np.linalg, "svd", _no_dense_svd)
@@ -682,13 +726,13 @@ def test_smallest_singular_values_block_solve_on_cracks(name, c, k, n,
                                                         request, monkeypatch):
     # the crack operators at c = +-1 are singular (the LU would floor at
     # least k pivots); twin rows that are equal (c = -1) or twin columns that
-    # are opposite (c = 1) give k exact null vectors, so every value is 0.0
-    # without the LU, Lanczos or the dense SVD
-    B, twin = _study_matrix(request.getfixturevalue(name), c, -0.25, n)
-    assert _floored_pivots(B) >= k
+    # are opposite (c = 1) give k exact null vectors, found from entries of
+    # B without the full matrix, the LU, Lanczos or the dense SVD
+    d = request.getfixturevalue(name)
+    assert _floored_pivots(_study_matrix(d, c, -0.25, n)) >= k
+    mesh, D = _study_mesh(d, -0.25, n)
     _only_twin_pairs(monkeypatch)
-    got = _smallest_singular_values(B, k, twin)
-    assert len(got) == k and np.all(got == 0.0)
+    assert lp._twin_null_vectors(mesh, c, D, k)
 
 
 @pytest.mark.filterwarnings("error")
@@ -696,6 +740,7 @@ def test_smallest_singular_values_block_solve_on_cracks(name, c, k, n,
 @pytest.mark.parametrize("c", (1.0, -1.0))
 def test_crack_studies_at_unit_c_are_exactly_singular(name, c, request,
                                                       monkeypatch):
+    # every mesh is answered by twin pairs: no N x N matrix is built
     d = request.getfixturevalue(name)
     _only_twin_pairs(monkeypatch)
     for deflate in (0, 1):
@@ -715,19 +760,33 @@ def _exact_twin_pairs(B, twin, c):
 @pytest.mark.parametrize("name", ("slit_square", "tcrack_square"))
 @pytest.mark.parametrize("c, k", ((1.0, 1), (-1.0, 2)))
 def test_twin_check_misses_one_ulp_off(name, c, k, request, monkeypatch):
-    # one entry of each exact pair moved by one ulp, outside its 2 x 2 twin
-    # block: no pair is exact any more, and the LU runs
-    B, twin = _study_matrix(request.getfixturevalue(name), c, -0.25, 16)
-    pairs = _exact_twin_pairs(B, twin, c)
+    # the weight of one node of each exact pair moved by one ulp: no pair
+    # is exact any more, the search misses, and the LU runs on B
+    d = request.getfixturevalue(name)
+    mesh, D = _study_mesh(d, -0.25, 16)
+    B = weighted_discrete_operator(d, c, -0.25, mesh, D)
+    pairs = _exact_twin_pairs(B, mesh.twin, c)
     assert len(pairs) >= k
-    for j, t in pairs:
-        x = next(x for x in range(len(B)) if x not in (j, t))
-        at = (j, x) if c < 0 else (x, j)
-        B[at] = np.nextafter(B[at], np.inf)
-    assert _exact_twin_pairs(B, twin, c) == []
+    for j, _ in pairs:
+        D[j] = np.nextafter(D[j], np.inf)
+    B = weighted_discrete_operator(d, c, -0.25, mesh, D)
+    assert _exact_twin_pairs(B, mesh.twin, c) == []
+    assert not lp._twin_null_vectors(mesh, c, D, k)
     calls = _counted_lu(monkeypatch)
-    got = _smallest_singular_values(B, k, twin)
+    got = _smallest_singular_values(B, k)
     assert calls == [1] and np.all(got <= lp.ROUNDING_SIGMA)
+
+
+def _recorded_entries(monkeypatch):
+    shapes = []
+    entries = lp._nystrom_entries
+
+    def recorded(mesh, I, J, *args):
+        shapes.append(np.broadcast_shapes(np.shape(I), np.shape(J)))
+        return entries(mesh, I, J, *args)
+
+    monkeypatch.setattr(lp, "_nystrom_entries", recorded)
+    return shapes
 
 
 @pytest.mark.parametrize("name, c", [
@@ -736,30 +795,41 @@ def test_twin_check_misses_one_ulp_off(name, c, k, request, monkeypatch):
     (name, c) for name in ("square", "lshape", "hexagon", "circle")
     for c in (1.0, -1.0)])
 def test_twin_check_misses_without_exact_pairs(name, c, monkeypatch):
-    # off c = +-1, or without cracks, no twin pair is exact: the LU runs and
-    # the values are those of the solve without the twin map
+    # off c = +-1 the 2 x 2 twin blocks reject every pair, so no row or
+    # column is built, and without cracks there is no search; either way
+    # the LU runs once per mesh and the study reads its values off B
     d = pf.parse_domain(domain_path(name))
-    B, twin = _study_matrix(d, c, -0.25, 16)
     k = 2 if c < 0 else 1
+    if d.has_cracks:
+        mesh, D = _study_mesh(d, -0.25, 16)
+        with monkeypatch.context() as m:
+            shapes = _recorded_entries(m)
+            assert not lp._twin_null_vectors(mesh, c, D, k)
+        assert shapes == [(np.sum(mesh.twin >= 0) // 2, 2, 2)]
+    else:
+        monkeypatch.setattr(lp, "_twin_null_vectors", _no_twin_search)
     calls = _counted_lu(monkeypatch)
-    got = _smallest_singular_values(B, k, twin)
-    assert calls == [1]
-    assert np.array_equal(got, _smallest_singular_values(B, k, _no_twins(B)))
+    res = min_singular_value_study(d, c, -0.25, mesh_sizes=(8, 16),
+                                   deflate=k - 1)
+    assert calls == [1, 1]
+    assert [r[2] for r in res.rows] == [
+        _smallest_singular_values(_study_matrix(d, c, -0.25, n), k)[-1]
+        for n in (8, 16)]
 
 
 def test_crack_study_peak_memory(tcrack_square):
-    # at c = -1 the zero singular values come without an LU: per mesh only
-    # the weighted matrix is N x N
+    # at c = -1 the zero singular values come from twin rows built alone:
+    # no N x N array is made
     peak = _peak_bytes(min_singular_value_study, tcrack_square, -1.0, -0.25,
                        (64, 128))
     N = _mesh_for(tcrack_square, 128, 0.5, 24).size
-    assert peak <= 1.25 * 8 * N * N
+    assert peak <= 0.05 * 8 * N * N
 
 
 def test_smallest_singular_values_lanczos_without_floored_pivots(square,
                                                                  monkeypatch):
     # no pivot of the square's I + K is floored, so Lanczos answers
-    B, twin = _study_matrix(square, 1.0, 0.0, 16)
+    B = _study_matrix(square, 1.0, 0.0, 16)
     assert _floored_pivots(B) == 0
     want = _dense_smallest(B, 1)
     calls = []
@@ -771,24 +841,24 @@ def test_smallest_singular_values_lanczos_without_floored_pivots(square,
     monkeypatch.setattr(lp, "eigsh", counted)
     monkeypatch.setattr(np.linalg, "svd", _no_dense_svd)
     monkeypatch.setattr(scipy.linalg, "svd", _no_dense_svd)
-    got = _smallest_singular_values(B, 1, twin)
+    got = _smallest_singular_values(B, 1)
     assert calls == [1]
     assert np.allclose(got, want, rtol=1e-10, atol=0.0)
 
 
 def test_smallest_singular_values_crack_fallback(tcrack_square, monkeypatch):
-    # without the twin map the zero values are not read off B: Lanczos
-    # fails to converge on the floored LU, and the dense values are returned
-    B, _ = _study_matrix(tcrack_square, -1.0, -0.25, 16)
+    # the LU route does not read zero values off twin rows: Lanczos fails
+    # to converge on the floored LU, and the dense values are returned
+    B = _study_matrix(tcrack_square, -1.0, -0.25, 16)
     want = _dense_smallest(B, 2)
     monkeypatch.setattr(lp, "eigsh", _no_lanczos_convergence)
-    assert np.array_equal(_smallest_singular_values(B, 2, _no_twins(B)), want)
+    assert np.array_equal(_smallest_singular_values(B, 2), want)
 
 
 def test_smallest_singular_values_fallback_in_place(square, monkeypatch):
     # the dense fallback is one SVD, run in the LU's buffer on a copy of
     # B, so it holds no third N x N array
-    B, twin = _study_matrix(square, 1.0, 0.0, 16)
+    B = _study_matrix(square, 1.0, 0.0, 16)
     B0 = B.copy()
     lus, calls = [], []
     dgetrf = lp.lapack.dgetrf
@@ -808,7 +878,7 @@ def test_smallest_singular_values_fallback_in_place(square, monkeypatch):
     monkeypatch.setattr(lp.lapack, "dgetrf", record_lu)
     monkeypatch.setattr(lp, "eigsh", _no_lanczos_convergence)
     monkeypatch.setattr(scipy.linalg, "svd", svd)
-    assert np.array_equal(_smallest_singular_values(B, 2, twin), [1.0, 2.0])
+    assert np.array_equal(_smallest_singular_values(B, 2), [1.0, 2.0])
     assert len(calls) == 1 and calls[0] is lus[0]
     assert np.array_equal(B, B0)
 
@@ -816,10 +886,10 @@ def test_smallest_singular_values_fallback_in_place(square, monkeypatch):
 def test_smallest_singular_values_repeated_minimum(square):
     # the square's symmetry makes the smallest singular value of I + K a
     # double one: both copies are found before the next value
-    B, twin = _study_matrix(square, 1.0, 0.0, 32)
+    B = _study_matrix(square, 1.0, 0.0, 32)
     want = _dense_smallest(B, 3)
     assert abs(want[1] - want[0]) <= 1e-12 * want[0] < want[2] - want[1]
-    got = _smallest_singular_values(B, 3, twin)
+    got = _smallest_singular_values(B, 3)
     assert np.allclose(got, want, rtol=1e-10, atol=0.0)
 
 
