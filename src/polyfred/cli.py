@@ -127,11 +127,6 @@ def main():
 
 _c_option = click.option("--c", "c", type=float, default=1.0,
                          show_default=True, help="scalar part of c*I + K")
-_tol_option = click.option("--tol", type=float, default=mellin.SCAN_TOL,
-                           show_default=True, help="invertibility tolerance")
-_xi_max_option = click.option("--xi-max", type=float,
-                              default=mellin.XI_MAX_DEFAULT, show_default=True,
-                              help="initial scan range on the line")
 _out_option = click.option("--out", type=click.Path(), default=None,
                            help="write the report here instead of stdout")
 _format_option = click.option("--format", "fmt",
@@ -144,19 +139,16 @@ _format_option = click.option("--format", "fmt",
 @click.option("--a", type=float, default=0.0, show_default=True,
               help="Sobolev weight index")
 @_c_option
-@_tol_option
-@_xi_max_option
 @_out_option
-def analyze(domain_file, a, c, tol, xi_max, out):
+def analyze(domain_file, a, c, out):
     """Fredholm verdict for c*I + K on the weight-a scale."""
     try:
         d = parse_domain(domain_file)
-        v = layerpot.fredholm_verdict(d, c, a, tol=tol, xi_max=xi_max)
+        v = layerpot.fredholm_verdict(d, c, a)
     except (ValueError, OSError) as exc:
         _fail(str(exc))
     report = {
-        "config": _config_echo(domain=domain_file, c=c, a=a, tol=tol,
-                               xi_max=xi_max),
+        "config": _config_echo(domain=domain_file, c=c, a=a),
         "verdict": v.overall,
         "elliptic": v.elliptic,
         "witnesses": list(v.witnesses),
@@ -168,7 +160,7 @@ def analyze(domain_file, a, c, tol, xi_max, out):
                   "xi_max_used": r.xi_max_used}
             for vid, r in v.per_vertex.items()},
         "line_offset": mellin.line_offset(a),
-        "tolerances": {"scan": tol,
+        "tolerances": {"scan": mellin.SCAN_TOL,
                        "inconclusive_margin": layerpot.INCONCLUSIVE_MARGIN},
     }
     _emit(report, out, "json")
@@ -177,24 +169,18 @@ def analyze(domain_file, a, c, tol, xi_max, out):
 
 @main.command()
 @click.argument("domain_file", type=click.Path(exists=True))
-@click.option("--a-min", type=float, default=-1.2, show_default=True)
-@click.option("--a-max", type=float, default=1.2, show_default=True)
 @_c_option
-@_tol_option
-@_xi_max_option
 @_out_option
 @_format_option
-def window(domain_file, a_min, a_max, c, tol, xi_max, out, fmt):
+def window(domain_file, c, out, fmt):
     """Admissible weight window per vertex and globally, with margin curve."""
     try:
         d = parse_domain(domain_file)
-        rep = layerpot.domain_windows(d, c, search=(a_min, a_max), tol=tol,
-                                      xi_max=xi_max)
+        rep = layerpot.domain_windows(d, c)
     except (ValueError, OSError) as exc:
         _fail(str(exc))
     report = {
-        "config": _config_echo(domain=domain_file, c=c, a_min=a_min,
-                               a_max=a_max, tol=tol, xi_max=xi_max),
+        "config": _config_echo(domain=domain_file, c=c),
         "per_vertex": {k: list(w) if w else None
                        for k, w in rep.per_vertex.items()},
         "global_window": (list(rep.global_window)
@@ -231,7 +217,6 @@ def solve(domain_file, g_expr, mesh_n, mesh_q, mesh_nc, c, out):
     report = {
         "config": _config_echo(domain=domain_file, g=g_expr, c=c,
                                mesh_n=mesh_n, mesh_q=mesh_q, mesh_nc=mesh_nc),
-        "rhs_factor": sol.rhs_factor,
         "solve_residual": sol.residual,
         "interior_points_tested": len(pts),
         "max_interior_relative_error": (max(errs) if errs else None),

@@ -203,6 +203,9 @@ class ConicalDomain:
                     raise DomainError(f"open arc edge {e.id} needs endpoints")
                 if e.crack:
                     raise DomainError("crack edges must be straight segments")
+                if abs(e._dtheta()) > TWO_PI + ANGLE_TOL:
+                    raise DomainError(f"arc {e.id} sweeps more than a full "
+                                      "turn")
             else:
                 raise DomainError(f"unknown edge kind {e.kind!r}")
             for vid in (e.v_from, e.v_to):

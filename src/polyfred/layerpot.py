@@ -27,10 +27,12 @@ from .geometry import (
     unfold,
 )
 from .groupoid import MellinOperator, limit_operator
-from . import mellin
 from .mellin import admissible_weight_window, invertibility_scan
 
 INCONCLUSIVE_MARGIN = 1e-3
+# the weights every window is clipped to: a domain without vertices is
+# Fredholm on all of them
+_SEARCH = (-1.2, 1.2)
 SOLVE_RESIDUAL_TOL = 1e-10
 # singular values at or below this are rounding level (the dense SVD of an
 # exactly singular operator lands there too); a study ending there decays
@@ -133,8 +135,7 @@ def graded_mesh(u: UnfoldedDomain, n: int = 16, q: float = 0.5,
             breaks = _graded_breaks(n, q, n_c)
         tau = 0.5 * (breaks[:-1] + breaks[1:])
         s = tau if ue.forward else 1.0 - tau
-        sa = breaks[:-1] if ue.forward else 1.0 - breaks[:-1]
-        sb = breaks[1:] if ue.forward else 1.0 - breaks[1:]
+        ends = e.point(breaks if ue.forward else 1.0 - breaks, d)
         P = e.point(s, d)
         T = e.tangent(s, d) * (1.0 if ue.forward else -1.0)
         NU = np.stack([T[:, 1], -T[:, 0]], axis=-1)
@@ -142,8 +143,8 @@ def graded_mesh(u: UnfoldedDomain, n: int = 16, q: float = 0.5,
         kappa = e.curvature(d) * (1.0 if ue.forward else -1.0)
         m = len(tau)
         pts.append(P)
-        pas.append(e.point(sa, d))
-        pbs.append(e.point(sb, d))
+        pas.append(ends[:-1])
+        pbs.append(ends[1:])
         nus.append(NU)
         ws.append(L * dtau)
         curs.append(np.full(m, kappa))
@@ -332,20 +333,17 @@ def _check_finite(**values) -> None:
             raise ValueError(f"{name} = {v} must be a finite number")
 
 
-def fredholm_verdict(d: ConicalDomain, c: float, a: float,
-                     tol: float = mellin.SCAN_TOL,
-                     xi_max: float = mellin.XI_MAX_DEFAULT) -> FredholmVerdict:
+def fredholm_verdict(d: ConicalDomain, c: float, a: float) -> FredholmVerdict:
     """Fredholm or not for c*I + K on the weight-a scale.
 
     The operator is Fredholm exactly when it is elliptic (c != 0) and the
     limit symbol at every vertex stratum is invertible along the weight
     line.  Margins up to INCONCLUSIVE_MARGIN are reported, not resolved.
-    c and a must be finite; they, tol and xi_max are checked first, also on
-    a domain without vertices.
+    c and a must be finite; they are checked first, also on a domain
+    without vertices.
     """
     _check_finite(c=c, a=a)
-    mellin.check_scan_settings(tol, xi_max)
-    per_vertex = {vid: invertibility_scan(op, c, a, xi_max=xi_max, tol=tol)
+    per_vertex = {vid: invertibility_scan(op, c, a)
                   for vid, op in limit_operators(d).items()}
     witnesses = tuple(v for v, r in per_vertex.items() if not r.invertible)
     elliptic = c != 0.0
@@ -372,13 +370,10 @@ class WindowReport:
         return self.global_window[0] <= lo and hi <= self.global_window[1]
 
 
-def domain_windows(d: ConicalDomain, c: float,
-                   search: tuple[float, float] = (-1.2, 1.2),
-                   tol: float = mellin.SCAN_TOL,
-                   xi_max: float = mellin.XI_MAX_DEFAULT) -> WindowReport:
+def domain_windows(d: ConicalDomain, c: float) -> WindowReport:
     """Admissible weight window per vertex stratum, clipped to the search
-    range [a_min, a_max] and intersected globally, with the margin curve
-    across the global window.
+    range [-1.2, 1.2] (_SEARCH) and intersected globally, with the margin
+    curve across the global window.
 
     A stratum's window is the one around a = 0 (``admissible_weight_window``)
     clipped to the search range, or None when nothing is left, and then so
@@ -387,22 +382,16 @@ def domain_windows(d: ConicalDomain, c: float,
     range.  The limit operators are built once and serve both the windows
     and the curve, which samples 21 weights from 1e-3 inside the global
     window; each row holds the weight and the margin and witness xi of the
-    stratum with the smallest margin there.  c and the search range must be finite
-    and a_min < a_max, else ValueError is raised before any scan, and so is
-    MellinError for a tol or xi_max that ``check_scan_settings`` rejects.
+    stratum with the smallest margin there.  c must be finite, else
+    ValueError is raised before any scan.
     """
-    a_min, a_max = search
-    _check_finite(c=c, a_min=a_min, a_max=a_max)
-    if not a_min < a_max:
-        raise ValueError(f"empty weight search range [{a_min}, {a_max}]: "
-                         "a_min must be below a_max")
-    mellin.check_scan_settings(tol, xi_max)
+    _check_finite(c=c)
+    a_min, a_max = _SEARCH
     ops = limit_operators(d)
     per_vertex = {}
     for vid, op in ops.items():
         # None is the empty interval (inf, -inf)
-        w = admissible_weight_window(op, c, tol=tol, xi_max=xi_max) \
-            or (math.inf, -math.inf)
+        w = admissible_weight_window(op, c) or (math.inf, -math.inf)
         lo, hi = max(a_min, w[0]), min(a_max, w[1])
         per_vertex[vid] = (lo, hi) if lo < hi else None
     ends = list(per_vertex.values())
@@ -412,9 +401,8 @@ def domain_windows(d: ConicalDomain, c: float,
     curve = []
     if window and ops:
         for a in np.linspace(lo + 1e-3, hi - 1e-3, 21):
-            worst = min((invertibility_scan(op, c, float(a), xi_max=xi_max,
-                                            tol=tol) for op in ops.values()),
-                        key=lambda r: r.margin)
+            worst = min((invertibility_scan(op, c, float(a))
+                         for op in ops.values()), key=lambda r: r.margin)
             curve.append((float(a), worst.margin, worst.witness_xi))
     return WindowReport(per_vertex, window, _reference_window(d),
                         tuple(curve))
@@ -427,7 +415,6 @@ class SolveResult:
     density: np.ndarray
     mesh: BoundaryMesh
     residual: float
-    rhs_factor: float                # the system solved is (I + A) phi = factor*g
     g: np.ndarray                    # (N,) boundary data at the mesh nodes
 
     def __call__(self, z):
@@ -462,7 +449,7 @@ def solve_dirichlet(d: ConicalDomain, g,
     residual = float(np.max(np.abs(sys @ phi - 2.0 * rhs)))
     if not residual <= SOLVE_RESIDUAL_TOL:          # NaN fails too
         raise ValueError(f"linear solve residual {residual:.2e} above tolerance")
-    return SolveResult(phi, mesh, residual, 2.0, rhs)
+    return SolveResult(phi, mesh, residual, rhs)
 
 
 # -- singular value studies ------------------------------------------------

@@ -265,41 +265,32 @@ class ScanResult:
     xi_max_used: float
 
 
-def check_scan_settings(tol: float, xi_max: float) -> None:
-    """Raise MellinError unless tol is a number >= 0 and xi_max a finite
-    positive number."""
-    if not 0.0 < xi_max < math.inf:
-        raise MellinError(f"xi_max = {xi_max} must be positive and finite")
-    if not tol >= 0.0:
-        raise MellinError(f"tol = {tol} must be a number >= 0")
-
-
 def invertibility_scan(op: MellinOperator, c: float, a: float,
-                       xi_max: float = XI_MAX_DEFAULT,
-                       tol: float = SCAN_TOL) -> ScanResult:
+                       xi_max: float = XI_MAX_DEFAULT) -> ScanResult:
     """Decide invertibility of c*I + symbol along the line of the weight a.
 
     The verdict combines the sampled minimum over [-xi_max, xi_max] with an
     explicit tail bound: beyond xi_max the kernel part is majorized by
     ``tail_majorant``, so invertibility there follows from the constant part
-    alone.  A failing tail bound doubles xi_max up to a cap.  tol and
-    xi_max must pass ``check_scan_settings``.
+    alone.  A failing tail bound doubles xi_max up to a cap.  A margin at or
+    below SCAN_TOL is singular.  xi_max must be finite and positive.
     """
-    check_scan_settings(tol, xi_max)
+    if not 0.0 < xi_max < math.inf:
+        raise MellinError(f"xi_max = {xi_max} must be positive and finite")
     samples = symbol_on_line(op, c, a, _base_grid(xi_max))
     i = int(np.argmin(samples.sigma_min))
     margin, witness = float(samples.sigma_min[i]), float(samples.xi[i])
-    if margin <= tol:
+    if margin <= SCAN_TOL:
         return ScanResult(False, margin, witness, xi_max)
 
     # asymptotic matrix: the kernel part vanishes, the jump part does not
     asym = c * np.eye(op.size) + op.delta
     sig_inf = float(np.linalg.svd(asym, compute_uv=False)[-1])
-    if sig_inf <= tol:
+    if sig_inf <= SCAN_TOL:
         return ScanResult(False, min(margin, sig_inf), math.inf, xi_max)
 
     cur = xi_max
-    while tail_majorant(op, cur) >= sig_inf - tol:
+    while tail_majorant(op, cur) >= sig_inf - SCAN_TOL:
         if cur >= XI_MAX_CAP:
             raise MellinError(
                 f"tail bound fails at xi_max = {cur} (cap {XI_MAX_CAP})")
@@ -308,7 +299,7 @@ def invertibility_scan(op: MellinOperator, c: float, a: float,
         j = int(np.argmin(extra.sigma_min))
         if extra.sigma_min[j] < margin:
             margin, witness = float(extra.sigma_min[j]), float(extra.xi[j])
-            if margin <= tol:
+            if margin <= SCAN_TOL:
                 return ScanResult(False, margin, witness, nxt)
         cur = nxt
     return ScanResult(True, margin, witness, cur)
@@ -346,10 +337,8 @@ def _windings(op: MellinOperator, c: float, gammas, xi: np.ndarray):
         xi[np.argmin(np.abs(f), axis=1)] + 1j * gam[:, 0]
 
 
-def admissible_weight_window(op: MellinOperator, c: float,
-                             tol: float = SCAN_TOL,
-                             xi_max: float = XI_MAX_DEFAULT
-                             ) -> tuple[float, float] | None:
+def admissible_weight_window(op: MellinOperator,
+                             c: float) -> tuple[float, float] | None:
     """Interval (lo, hi) of weights around a = 0 whose lines hold no zero
     of det(c*I + symbol), or None when the scan of the line a = 0 fails
     (c*I + J singular at a crack tip, or a zero on that line).  det is
@@ -361,7 +350,7 @@ def admissible_weight_window(op: MellinOperator, c: float,
     Windings stop where the reference scan's tail bound holds.  The symbol
     is even: one end mirrors the other.
     """
-    ref = invertibility_scan(op, c, 0.0, xi_max=xi_max, tol=tol)
+    ref = invertibility_scan(op, c, 0.0)
     if not ref.invertible:
         return None
     grid = _base_grid(ref.xi_max_used)

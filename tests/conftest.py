@@ -81,6 +81,14 @@ MALFORMED_DOMAINS = {
         {"a": (-1, -1), "b": (1, -1), "c": (1, 1), "d": (-1, 1)},
         {"s": ("a", "b"), "e": ("b", "c"),
          "n": ("c", "d", arc([0, 0], 5.0, 0.2, 0.5)), "w": ("d", "a")}),
+    # the arc n runs from c to d on the circle of center (0, 10) the short
+    # way plus one more turn, over itself
+    "arc-over-a-full-turn": domain_doc(
+        {"a": (-1, -1), "b": (1, -1), "c": (1, 1), "d": (-1, 1)},
+        {"s": ("a", "b"), "e": ("b", "c"),
+         "n": ("c", "d", arc([0, 10], math.sqrt(82), math.atan2(-9, 1),
+                             math.atan2(-9, -1) - 2 * math.pi)),
+         "w": ("d", "a")}),
 }
 
 

@@ -1,6 +1,5 @@
 """Command line interface: subcommands, exit codes, and the expression grammar."""
 
-import inspect
 import json
 import math
 import re
@@ -14,7 +13,7 @@ from polyfred import layerpot, mellin
 from polyfred.cli import ExprError, main, parse_boundary_data
 
 from conftest import (ALL_DOMAINS, CRACK, CRACK_DOMAINS,
-                      MALFORMED_DOMAINS, arc, domain_doc,
+                      MALFORMED_DOMAINS, ROOT, arc, domain_doc,
                       domain_path)
 
 CRACK_FREE_DOMAINS = tuple(n for n in ALL_DOMAINS if n not in CRACK_DOMAINS)
@@ -125,6 +124,7 @@ def test_analyze_fredholm_exit_zero(runner):
     assert rep["witnesses"] == []
     assert set(rep["per_vertex"]) == {"a", "b", "c", "d"}
     assert rep["config"]["version"]
+    assert rep["tolerances"]["scan"] == mellin.SCAN_TOL
 
 
 def test_analyze_not_fredholm_exit_one(runner):
@@ -135,34 +135,6 @@ def test_analyze_not_fredholm_exit_one(runner):
     assert set(rep["witnesses"]) == {"p#c0", "t#c0"}
 
 
-def _vertex_scan(runner, *opts):
-    res = runner.invoke(main, ["analyze", domain_path("square"), *opts])
-    return res.exit_code, json.loads(res.stdout)["per_vertex"]["a"]
-
-
-def test_analyze_short_scan_range(runner):
-    # xi_max <= 2 scans one uniform grid, and the tail bound holds past
-    # it; the margin at xi = 0 is the default run's, bit for bit
-    code, short = _vertex_scan(runner, "--c", "1", "--a", "-0.3",
-                               "--xi-max", "1.5")
-    assert code == 0 and short["xi_max_used"] == 1.5
-    assert short["margin"] == 0.4388368811828197
-    assert short["margin"] == _vertex_scan(runner, "--c", "1",
-                                           "--a", "-0.3")[1]["margin"]
-
-
-def test_analyze_tail_extension_finds_the_zero(runner):
-    # the real zero of det at xi = 0.519 lies past xi_max = 0.25: the
-    # doubling loop finds it on [0.5, 1.0] and stops there
-    code, short = _vertex_scan(runner, "--c", "0.37", "--a", "0",
-                               "--xi-max", "0.25")
-    assert code == 1 and not short["invertible"]
-    assert short["xi_max_used"] == 1.0
-    assert short["witness_xi"] == 0.5191561041424595
-    code, full = _vertex_scan(runner, "--c", "0.37", "--a", "0")
-    assert code == 1 and full["witness_xi"] == 0.5191561041425108
-
-
 def test_analyze_error_exit_three(runner, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{\"vertices\": []}")
@@ -171,15 +143,6 @@ def test_analyze_error_exit_three(runner, tmp_path):
     # weight far outside the symbol validity strip
     res = runner.invoke(main, ["analyze", domain_path("square"), "--a", "1.5"])
     assert res.exit_code == 3
-    # a NaN or negative tolerance and an infinite scan range; at the default
-    # tolerance the slit square answers "not Fredholm"
-    for cmd, name, opts in [("analyze", "slit_square", ["--tol", "nan"]),
-                            ("analyze", "slit_square", ["--tol", "-1"]),
-                            ("window", "slit_square", ["--tol", "nan"]),
-                            ("analyze", "square", ["--xi-max", "inf"])]:
-        res = runner.invoke(main, [cmd, domain_path(name), *opts])
-        assert res.exit_code == 3, (cmd, name, opts)
-        assert opts[0][2:].replace("-", "_") in res.output
 
 
 DELETE = object()
@@ -279,12 +242,14 @@ MALFORMED = {
         {**SQUARE_EDGES, "k0": ("j", "t", CRACK), "k1": ("j", "u", CRACK)}),
         "vertex j has a zero-measure cone-base component"),
     # each arc winds twice around its circle, so it starts and ends at
-    # (0, 0), where the vertices u and w coincide
+    # (0, 0), where the vertices u and w coincide; no arc may sweep more
+    # than a full turn, and an arc of at most one turn that starts and
+    # ends at one point is closed
     "coincident-vertices": ("square", _rule(
         {"u": (0, 0), "w": (0, 0)},
         {"e0": ("u", "w", arc([0, 1], 1.0, -math.pi / 2, 3.5 * math.pi)),
          "e1": ("w", "u", arc([0, -1], 1.0, math.pi / 2, 4.5 * math.pi))}),
-        "collar cutoff for u must be positive"),
+        "arc e0 sweeps more than a full turn"),
     "zero-length-edge": ("square", _replace(
         MALFORMED_DOMAINS["zero-length-edge"]), "degenerate edge e1"),
     "overlap": ("square", _replace(MALFORMED_DOMAINS["overlap"]),
@@ -298,6 +263,9 @@ MALFORMED = {
     "arc-off-its-vertices": ("square", _replace(
         MALFORMED_DOMAINS["arc-off-its-vertices"]),
         "arc n does not start at its vertex c"),
+    "arc-over-a-full-turn": ("square", _replace(
+        MALFORMED_DOMAINS["arc-over-a-full-turn"]),
+        "arc n sweeps more than a full turn"),
 }
 
 
@@ -316,23 +284,11 @@ def test_malformed_domain_file_exits_three(runner, tmp_path, case):
     assert res.stderr.startswith("error: ") and field in res.stderr
 
 
-def test_scan_settings_checked_without_vertices(runner):
-    # the circle has no vertex to scan, yet a bad tol or xi_max still exits 3
-    for cmd, opts in [("analyze", ["--a", "0", "--tol", "nan"]),
-                      ("window", ["--xi-max", "inf"])]:
-        res = runner.invoke(main, [cmd, domain_path("circle"), "--c", "1",
-                                   *opts])
-        assert res.exit_code == 3, (cmd, opts)
-        assert opts[-2][2:].replace("-", "_") in res.output
-        assert res.stdout == ""
-
-
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("cmd,opt", [
     ("analyze", "--c"), ("analyze", "--a"), ("window", "--c"),
-    ("window", "--a-min"), ("window", "--a-max"), ("study", "--c"),
-    ("study", "--a"), ("solve", "--c")])
+    ("study", "--c"), ("study", "--a"), ("solve", "--c")])
 @pytest.mark.parametrize("name", ["square", "circle"])
 def test_non_finite_numbers_exit_three(runner, name, cmd, opt, value):
     # c and the weights are checked by name before any scan or assembly
@@ -369,8 +325,7 @@ def test_crack_study_weight_beyond_float_range_exits_three(runner, c, a):
 # -- window ----------------------------------------------------------------
 
 def test_window_square(runner):
-    res = runner.invoke(main, ["window", domain_path("square"),
-                               "--a-min", "-0.9", "--a-max", "0.9"])
+    res = runner.invoke(main, ["window", domain_path("square")])
     assert res.exit_code == 0
     rep = json.loads(res.stdout)
     lo, hi = rep["global_window"]
@@ -378,31 +333,6 @@ def test_window_square(runner):
     assert abs(hi - 2.0 / 3.0) <= 1e-6
     assert rep["reference_window"][1] == 0.5
     assert rep["margin_curve"][0] == ["a", "margin", "witness_xi"]
-
-
-@pytest.mark.parametrize("a_min,a_max,want", [("-0.9", "-0.7", None),
-                                               ("-0.5", "0.5", [-0.5, 0.5]),
-                                               ("1.0", "1.2", None)])
-def test_window_clipped_to_search_range(runner, a_min, a_max, want):
-    # the square's window around a = 0 is (-2/3, 2/3); a range that misses
-    # it leaves no window, and that is an answer, not an error
-    res = runner.invoke(main, ["window", domain_path("square"),
-                               "--a-min", a_min, "--a-max", a_max])
-    assert res.exit_code == 0
-    rep = json.loads(res.stdout)
-    assert rep["global_window"] == want
-    assert list(rep["per_vertex"].values()) == [want] * 4
-    assert len(rep["margin_curve"]) == (22 if want else 1)
-
-
-@pytest.mark.parametrize("name", ["square", "circle"])
-@pytest.mark.parametrize("a_min,a_max", [("1.2", "-1.2"), ("0.4", "0.4")])
-def test_window_rejects_empty_search_range(runner, name, a_min, a_max):
-    res = runner.invoke(main, ["window", domain_path(name),
-                               "--a-min", a_min, "--a-max", a_max])
-    assert res.exit_code == 3
-    assert "a_min must be below a_max" in res.output
-    assert res.stdout == ""
 
 
 # Vertices with no admissible weight at all: crack tips at c = +-1, where
@@ -456,33 +386,6 @@ def test_window_matrix(runner, name, c):
         assert len(curve) == 22
 
 
-def test_window_xi_max_reaches_scans(runner, monkeypatch):
-    # --xi-max sets the starting scan range of the window search and of
-    # every margin-curve verdict
-    seen = {"window": [], "verdict": []}
-    scan = mellin.invertibility_scan
-    sig = inspect.signature(scan)
-
-    def recording(where):
-        def wrapped(*args, **kwargs):
-            bound = sig.bind(*args, **kwargs)
-            bound.apply_defaults()
-            seen[where].append(bound.arguments["xi_max"])
-            return scan(*args, **kwargs)
-        return wrapped
-
-    monkeypatch.setattr(mellin, "invertibility_scan", recording("window"))
-    monkeypatch.setattr(layerpot, "invertibility_scan", recording("verdict"))
-    res = runner.invoke(main, ["window", domain_path("square"),
-                               "--xi-max", "80"])
-    assert res.exit_code == 0
-    rep = json.loads(res.stdout)
-    assert rep["config"]["xi_max"] == 80.0
-    assert len(rep["margin_curve"]) == 22
-    assert seen["window"] and set(seen["window"]) == {80.0}
-    assert len(seen["verdict"]) == 21 * 4 and set(seen["verdict"]) == {80.0}
-
-
 @pytest.mark.parametrize("name", ALL_DOMAINS)
 def test_window_builds_each_limit_operator_once(runner, monkeypatch, name):
     # the window search and the margin curve share one limit operator per
@@ -520,7 +423,6 @@ def test_solve_square(runner):
                                "--g", "x^2-y^2"])
     assert res.exit_code == 0
     rep = json.loads(res.stdout)
-    assert rep["rhs_factor"] == 2.0
     assert rep["interior_points_tested"] > 50
     assert rep["max_interior_relative_error"] <= 1e-3
 
@@ -689,9 +591,8 @@ def test_analyze_strip_edge(runner, name, a, c):
 # -- command surface -------------------------------------------------------
 
 SURFACE = {
-    "analyze": {"--a", "--c", "--tol", "--xi-max", "--out"},
-    "window": {"--a-min", "--a-max", "--c", "--tol", "--xi-max", "--out",
-               "--format"},
+    "analyze": {"--a", "--c", "--out"},
+    "window": {"--c", "--out", "--format"},
     "solve": {"--g", "--mesh-n", "--mesh-q", "--mesh-nc", "--c",
               "--out"},
     "study": {"--a", "--mesh-n", "--mesh-q", "--deflate", "--c", "--out",
@@ -700,7 +601,8 @@ SURFACE = {
 
 
 def test_cli_surface(runner):
-    # each subcommand offers exactly the options it reads
+    # each subcommand offers exactly the options it reads, and the README
+    # lists exactly these
     res = runner.invoke(main, ["--help"])
     assert res.exit_code == 0
     listed = re.search(r"Commands:\n(.*)", res.stdout, re.S).group(1)
@@ -710,3 +612,20 @@ def test_cli_surface(runner):
         assert res.exit_code == 0
         found = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", res.stdout))
         assert found - {"--help"} == options, cmd
+    # the README's option list is the same surface
+    text = (ROOT / "README.md").read_text()
+    listed = re.search(r"takes a domain file and these options:\n\n"
+                       r"((?:- .*\n)+)", text).group(1)
+    documented = {cmd: set(opts.split()) for cmd, opts in
+                  re.findall(r"^- `(\w+)`: `([^`]*)`$", listed, re.M)}
+    assert documented == SURFACE
+
+
+@pytest.mark.parametrize("cmd", ["analyze", "window"])
+@pytest.mark.parametrize("opt", ["--tol", "--xi-max", "--a-min", "--a-max"])
+def test_scan_settings_are_no_options(runner, cmd, opt):
+    # the scan threshold, the starting scan range and the window's search
+    # range are constants: each former option is a usage error
+    res = runner.invoke(main, [cmd, domain_path("square"), opt, "0.5"])
+    assert res.exit_code == 2
+    assert f"No such option '{opt}'" in res.output

@@ -22,6 +22,7 @@ from polyfred.cli import main
 from polyfred.groupoid import MellinOperator
 from polyfred.layerpot import WindowReport, limit_operators
 from polyfred.mellin import (
+    SCAN_TOL,
     XI_MAX_CAP,
     MellinError,
     _line_samples,
@@ -210,12 +211,6 @@ def test_symbol_guard_outside_strip():
     for xi_max in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(MellinError, match="xi_max"):
             invertibility_scan(op, 1.0, 0.0, xi_max=xi_max)
-    # a NaN tolerance compares false with every margin, a negative one
-    # accepts nothing as singular
-    for tol in (math.nan, -1.0, -math.inf):
-        with pytest.raises(MellinError, match="tol"):
-            invertibility_scan(op, 1.0, 0.0, tol=tol)
-    assert invertibility_scan(op, 1.0, 0.0, tol=0.0).invertible
 
 
 def test_line_samples_match_adaptive_quadrature():
@@ -285,6 +280,46 @@ def test_scan_pure_jump_tip():
         assert not res.invertible
     res = invertibility_scan(tip, 3.0, 0.0)
     assert res.invertible
+
+
+@pytest.mark.parametrize("c", (1.0, -1.0))
+def test_scan_singular_at_infinity(c):
+    # twin rays 0.01 apart with the crack jump: every sampled symbol is
+    # invertible, yet c*I + delta, the symbol's limit as |xi| grows, is
+    # singular at c = +-1, so the scan answers "singular" from the
+    # asymptotic matrix, with no finite witness
+    op = MellinOperator("twins", np.array([[0.0, 0.01],
+                                           [2.0 * math.pi - 0.01, 0.0]]),
+                        np.array([[0, 1], [-1, 0]]),
+                        np.array([[0.0, -1.0], [-1.0, 0.0]]))
+    sampled = symbol_on_line(op, c, 0.0, np.linspace(0.0, 50.0, 201))
+    assert sampled.sigma_min.min() > 0.5
+    res = invertibility_scan(op, c, 0.0)
+    assert not res.invertible
+    assert res.margin <= SCAN_TOL
+    assert res.witness_xi == math.inf and res.xi_max_used == 50.0
+
+
+def test_scan_short_range(square):
+    # xi_max <= 2 scans one uniform grid, and the tail bound holds past
+    # it; the margin at xi = 0 is the default scan's, bit for bit
+    op = limit_operators(square)["a"]
+    short = invertibility_scan(op, 1.0, -0.3, xi_max=1.5)
+    assert short.invertible and short.xi_max_used == 1.5
+    assert short.margin == 0.4388368811828197
+    assert short.margin == invertibility_scan(op, 1.0, -0.3).margin
+
+
+def test_scan_tail_extension_finds_the_zero(square):
+    # the real zero of det at xi = 0.519 lies past xi_max = 0.25: the
+    # doubling loop finds it on [0.5, 1.0] and stops there
+    op = limit_operators(square)["a"]
+    short = invertibility_scan(op, 0.37, 0.0, xi_max=0.25)
+    assert not short.invertible and short.xi_max_used == 1.0
+    assert short.witness_xi == 0.5191561041424595
+    full = invertibility_scan(op, 0.37, 0.0)
+    assert not full.invertible
+    assert full.witness_xi == 0.5191561041425108
 
 
 @pytest.mark.parametrize("name", ALL_DOMAINS)
