@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -170,6 +170,17 @@ class ConicalDomain:
         self.edges: dict[str, Edge] = {e.id: e for e in edges}
         if len(self.edges) != len(edges):
             raise DomainError("duplicate edge ids")
+        e = _extent_exponent(vertices, edges)
+        if e != 0:
+            # the checks square coordinates, so they run on a copy scaled by
+            # 2^-e to unit size, which is exact; its lengths scale back
+            unit = ConicalDomain([_scaled(v, -e) for v in vertices],
+                                 [_scaled(ed, -e) for ed in edges])
+            self.tol = math.ldexp(unit.tol, e)
+            self.loop, self.vertex_info = unit.loop, unit.vertex_info
+            self.epsilon = {vid: math.ldexp(x, e)
+                            for vid, x in unit.epsilon.items()}
+            return
         self._validate_refs()
         # two boundary points closer than this count as one: 1e-9 of the
         # domain's extent, its largest edge length or vertex coordinate
@@ -372,6 +383,28 @@ class ConicalDomain:
             if eps[vid] <= 0:
                 raise DomainError(f"collar cutoff for {vid} must be positive")
         return eps
+
+
+def _extent_exponent(vertices, edges) -> int:
+    """e with the largest vertex coordinate, arc center coordinate or arc
+    radius in [2^(e-1), 2^e); 0 when all are zero."""
+    sizes = [abs(x) for v in vertices for x in (v.x, v.y)]
+    for e in edges:
+        if e.kind == "arc":
+            sizes += [abs(x) for x in (*e.params["center"], e.params["radius"])]
+    return math.frexp(max(sizes, default=0.0))[1]
+
+
+def _scaled(item, k: int):
+    """The vertex or edge with every length multiplied by 2^k."""
+    if isinstance(item, Vertex):
+        return replace(item, x=math.ldexp(item.x, k), y=math.ldexp(item.y, k))
+    if item.kind != "arc":
+        return item
+    p = item.params
+    return replace(item, params={
+        **p, "center": [math.ldexp(x, k) for x in p["center"]],
+        "radius": math.ldexp(p["radius"], k)})
 
 
 # -- parsing ---------------------------------------------------------------

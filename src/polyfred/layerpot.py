@@ -43,6 +43,12 @@ SIGMA_CERT_RTOL = 1e-8
 # smallest graded cell width h*q^n_c (as a fraction of the edge) a mesh may
 # have: the panel ends next to a vertex must stay distinct in double precision
 MIN_GRADED_WIDTH = 1e-13
+# ARPACK's Krylov basis size per Lanczos run.  It spends ncv + 1 products
+# before its first restart, so scipy's default of 20 caps what a good start
+# vector can save: with carried starts, studies on the crack-free fixtures
+# at c = +-1 took 31 % fewer products at 12 and 22 % fewer at 20, while at
+# 8 a nearly double smallest value (hexagon, c = 1) took thousands per mesh
+LANCZOS_NCV = 12
 
 
 # -- pointwise kernel ------------------------------------------------------
@@ -74,6 +80,8 @@ class BoundaryMesh:
     panel_a: np.ndarray              # (N, 2) panel start, traversal order
     panel_b: np.ndarray              # (N, 2) panel end, traversal order
     slices: dict                     # uedge uid -> slice of node indices
+    tau: np.ndarray                  # (N,) node parameter in (0, 1) along
+                                     # its unfolded edge, ascending per slice
 
     @property
     def size(self) -> int:
@@ -115,7 +123,7 @@ def graded_mesh(u: UnfoldedDomain, n: int = 16, q: float = 0.5,
     d = u.base
     base_ids = list(d.edges)
     pts, nus, ws, curs, rs, bidx, stra = [], [], [], [], [], [], []
-    pas, pbs = [], []
+    pas, pbs, taus = [], [], []
     slices = {}
     pos = 0
     for ue in u.uedges.values():
@@ -145,6 +153,7 @@ def graded_mesh(u: UnfoldedDomain, n: int = 16, q: float = 0.5,
         pts.append(P)
         pas.append(ends[:-1])
         pbs.append(ends[1:])
+        taus.append(tau)
         nus.append(NU)
         ws.append(L * dtau)
         curs.append(np.full(m, kappa))
@@ -168,7 +177,7 @@ def graded_mesh(u: UnfoldedDomain, n: int = 16, q: float = 0.5,
         np.concatenate(curs), np.concatenate(rs),
         np.concatenate(bidx).astype(np.int32),
         np.concatenate(stra).astype(bool),
-        twin, np.vstack(pas), np.vstack(pbs), slices)
+        twin, np.vstack(pas), np.vstack(pbs), slices, np.concatenate(taus))
 
 
 def _mesh_for(d, n: int, q: float, n_c: int) -> BoundaryMesh:
@@ -524,23 +533,70 @@ def _twin_null_vectors(mesh: BoundaryMesh, c: float, D: np.ndarray,
     return False
 
 
-def _smallest_singular_values(B: np.ndarray, k: int) -> np.ndarray:
-    """The k smallest singular values of the square matrix B, ascending.
+def _lanczos_pairs(B: np.ndarray, lu: np.ndarray, piv: np.ndarray, k: int,
+                   starts: np.ndarray):
+    """(sigma, U): k singular values of B and their left singular vectors,
+    found by Lanczos on the inverse Gram operator of the LU (lu, piv) of B,
+    deflation step j started from starts[:, j].  None when ARPACK raises or
+    a pair fails the certificate."""
+    n = len(B)
+    U, V = np.zeros((n, 0)), np.zeros((n, 0))
+
+    def deflated_inv_gram(x):
+        y = lapack.dgetrs(lu, piv, x - U @ (U.T @ x))[0]
+        z = lapack.dgetrs(lu, piv, y - V @ (V.T @ y), trans=1)[0]
+        return z - U @ (U.T @ z)
+
+    op = LinearOperator((n, n), matvec=deflated_inv_gram, dtype=float)
+    try:
+        for x0 in starts.T:
+            u = eigsh(op, k=1, v0=x0 - U @ (U.T @ x0),
+                      ncv=min(n, LANCZOS_NCV), tol=0.0)[1]
+            y = lapack.dgetrs(lu, piv, u)[0]
+            v = y - V @ (V.T @ y)
+            U = np.hstack([U, u])
+            V = np.hstack([V, v / np.linalg.norm(v)])
+    except ArpackError:
+        return None
+    BV = B @ V
+    sigma = np.einsum("ij,ij->j", U, BV)
+    # [u; v] / sqrt(2) is a unit vector of [[0, B], [B^T, 0]], whose
+    # eigenvalues are the +-sigma_j of B; a residual that overflows fails
+    # the certificate
+    with np.errstate(over="ignore"):
+        residual = np.sqrt(0.5 * (
+            np.linalg.norm(BV - U * sigma, axis=0) ** 2
+            + np.linalg.norm(B.T @ U - V * sigma, axis=0) ** 2))
+    sigma = np.abs(sigma)
+    if np.all(residual <= SIGMA_CERT_RTOL * sigma + ROUNDING_SIGMA):
+        return sigma, U
+    return None
+
+
+def _smallest_singular_pairs(B: np.ndarray, k: int,
+                             starts: np.ndarray | None = None):
+    """(values, U): the k smallest singular values of the square matrix B,
+    ascending, and their left singular vectors, one column per deflation
+    step, or None for U when the dense SVD gave the values.
 
     B is factored once by LU.  Pivots below eps * max|U_ii| are set to
     +-eps * max|U_ii|, a rounding-size backward perturbation like the dense
-    SVD's own.  Lanczos (ARPACK, fixed start vector) then finds the largest
-    eigenvalue 1/sigma^2 of x -> B^-T B^-1 x, k times in turn, each time
-    with the singular pairs found so far projected out on both sides, so a
-    repeated smallest singular value is found as often as it occurs.  Its
-    eigenvector u is a left singular vector, and v = B^-1 u (orthogonal to
-    the earlier v) the right one.  Each sigma is the Rayleigh value u^T B v
-    of B itself, and the residual r of the pair, also computed with B, puts
-    a singular value of B within r of it; the values are kept only when
-    every r <= SIGMA_CERT_RTOL * sigma + ROUNDING_SIGMA.  A failed
-    certificate, an ARPACK error (no convergence included) or non-finite
-    output falls back to the dense SVD, run in place on a copy of B in the
-    LU's buffer.
+    SVD's own.  Lanczos (ARPACK, Krylov basis of LANCZOS_NCV) then finds the
+    largest eigenvalue 1/sigma^2 of x -> B^-T B^-1 x, k times in turn, each
+    time with the singular pairs found so far projected out on both sides,
+    so a repeated smallest singular value is found as often as it occurs.
+    Its eigenvector u is a left singular vector, and v = B^-1 u (orthogonal
+    to the earlier v) the right one.  Each sigma is the Rayleigh value
+    u^T B v of B itself, and the residual r of the pair, also computed with
+    B, puts a singular value of B within r of it; the values are kept only
+    when every r <= SIGMA_CERT_RTOL * sigma + ROUNDING_SIGMA.
+
+    Step j starts from starts[:, j] when starts (N x k) is given, e.g. a
+    coarser mesh's vectors carried over (``_prolong``).  A failed
+    certificate or an ARPACK error (no convergence included) retries all k
+    steps from the fixed random start, which also serves when no starts
+    are given.  If that fails too, or the LU is not finite, the dense SVD
+    gives the values, run in place on a copy of B in the LU's buffer.
     """
     n = len(B)
     lu, piv, _ = lapack.dgetrf(B)
@@ -551,41 +607,39 @@ def _smallest_singular_values(B: np.ndarray, k: int) -> np.ndarray:
         tiny = np.flatnonzero(pivots < floor)
         lu[tiny, tiny] = np.copysign(floor, lu[tiny, tiny])
         x0 = np.random.default_rng(0).standard_normal(n)
-        U, V = np.zeros((n, 0)), np.zeros((n, 0))
-
-        def deflated_inv_gram(x):
-            y = lapack.dgetrs(lu, piv, x - U @ (U.T @ x))[0]
-            z = lapack.dgetrs(lu, piv, y - V @ (V.T @ y), trans=1)[0]
-            return z - U @ (U.T @ z)
-
-        op = LinearOperator((n, n), matvec=deflated_inv_gram, dtype=float)
-        try:
-            for _ in range(k):
-                u = eigsh(op, k=1, v0=x0 - U @ (U.T @ x0), tol=0.0)[1]
-                y = lapack.dgetrs(lu, piv, u)[0]
-                v = y - V @ (V.T @ y)
-                U = np.hstack([U, u])
-                V = np.hstack([V, v / np.linalg.norm(v)])
-            BV = B @ V
-            sigma = np.einsum("ij,ij->j", U, BV)
-            # [u; v] / sqrt(2) is a unit vector of [[0, B], [B^T, 0]], whose
-            # eigenvalues are the +-sigma_j of B; a residual that overflows
-            # fails the certificate
-            with np.errstate(over="ignore"):
-                residual = np.sqrt(0.5 * (
-                    np.linalg.norm(BV - U * sigma, axis=0) ** 2
-                    + np.linalg.norm(B.T @ U - V * sigma, axis=0) ** 2))
-            sigma = np.abs(sigma)
-            if np.all(residual <= SIGMA_CERT_RTOL * sigma + ROUNDING_SIGMA):
-                return np.sort(sigma)
-        except ArpackError:
-            pass
+        cold = np.broadcast_to(x0[:, None], (n, k))
+        for x0s in (cold,) if starts is None else (starts, cold):
+            pairs = _lanczos_pairs(B, lu, piv, k, x0s)
+            if pairs is not None:
+                return np.sort(pairs[0]), pairs[1]
     lu[...] = B  # the LU is spent; an SVD of B itself would copy B again
     # without vectors gesdd and gesvd run the same bidiagonal QR, so a
     # gesvd retry could not succeed where gesdd failed
     svals = scipy.linalg.svd(lu, compute_uv=False, overwrite_a=True,
                              check_finite=False)
-    return svals[::-1][:k]
+    return svals[::-1][:k], None
+
+
+def _smallest_singular_values(B: np.ndarray, k: int) -> np.ndarray:
+    """The k smallest singular values of the square matrix B, ascending,
+    from the fixed random start (``_smallest_singular_pairs``)."""
+    return _smallest_singular_pairs(B, k)[0]
+
+
+def _prolong(U: np.ndarray, coarse: BoundaryMesh,
+             fine: BoundaryMesh) -> np.ndarray:
+    """The columns of U, vectors on the nodes of the coarse mesh, carried
+    to the fine mesh of the same domain: divided by sqrt(w), interpolated
+    on each unfolded edge linearly in logit(tau) (constant past the coarse
+    end nodes), and multiplied by the fine mesh's sqrt(w)."""
+    values = U / np.sqrt(coarse.weights)[:, None]
+    out = np.empty((fine.size, U.shape[1]))
+    for uid, sl in fine.slices.items():
+        cl = coarse.slices[uid]
+        x, xp = (np.log(t / (1.0 - t)) for t in (fine.tau[sl], coarse.tau[cl]))
+        for j in range(U.shape[1]):
+            out[sl, j] = np.interp(x, xp, values[cl, j])
+    return out * np.sqrt(fine.weights)[:, None]
 
 
 def min_singular_value_study(d, c: float, a: float,
@@ -616,11 +670,15 @@ def min_singular_value_study(d, c: float, a: float,
     every value is exactly 0.0 and no N x N array is made.  Otherwise the
     weighted matrix is assembled (``weighted_discrete_operator``) and
     factored by LU, and Lanczos on its inverse Gram operator finds the
-    values (``_smallest_singular_values``), each certified by a residual
-    computed with the matrix itself.  An uncertified value, an ARPACK
-    error or non-finite output sends the mesh to the dense SVD.  Values
-    below ROUNDING_SIGMA are rounding level with any method.  c and a must
-    be finite.
+    values (``_smallest_singular_pairs``), each certified by a residual
+    computed with the matrix itself.  Lanczos starts from the previous
+    mesh's certified left singular vectors, prolonged to this mesh
+    (``_prolong``); the first mesh, and a mesh after one answered by the
+    twin search or the dense SVD, start from the fixed random start.  A
+    start that fails the certificate or raises an ARPACK error is retried
+    from the fixed random start, and a failure there sends the mesh to the
+    dense SVD.  Values below ROUNDING_SIGMA are rounding level with any
+    method.  c and a must be finite.
     """
     _check_finite(c=c, a=a)
     if deflate < 0:
@@ -630,7 +688,7 @@ def min_singular_value_study(d, c: float, a: float,
         raise ValueError("the study needs at least two mesh sizes in strictly "
                          f"increasing order, got {tuple(mesh_sizes)}")
 
-    def one(n):
+    def one(n, carried):
         # grading depth grows with n but is capped so that the smallest
         # panels (and the weight r^(-1/2-a)) stay within double precision
         mesh = _mesh_for(d, n, q, max(4, min(n // 2, 24)))
@@ -639,13 +697,21 @@ def min_singular_value_study(d, c: float, a: float,
                              f"of a {mesh.size}-node mesh")
         D = _weight_diagonal(mesh, a)
         if d.has_cracks and _twin_null_vectors(mesh, c, D, 1 + deflate):
-            return (n, mesh.size, 0.0)
+            return (n, mesh.size, 0.0), None
         B = weighted_discrete_operator(d, c, a, mesh, D)
-        sigma = _smallest_singular_values(B, 1 + deflate)[-1]
-        return (n, mesh.size, float(sigma))
+        starts = None if carried is None else _prolong(*carried, mesh)
+        sigma, U = _smallest_singular_pairs(B, 1 + deflate, starts)
+        return (n, mesh.size, float(sigma[-1])), (
+            None if U is None else (U, mesh))
 
-    # one call per mesh, so each matrix is freed before the next is built
-    rows = tuple(one(n) for n in mesh_sizes)
+    # one call per mesh, so each matrix is freed before the next is built;
+    # a mesh's certified left singular vectors (and the mesh) are carried
+    # to start the next mesh's Lanczos
+    rows, carried = [], None
+    for n in mesh_sizes:
+        row, carried = one(n, carried)
+        rows.append(row)
+    rows = tuple(rows)
     if rows[-1][2] < ROUNDING_SIGMA:
         return StudyResult(rows, "decaying", None)
     logN = np.log([r[1] for r in rows[-3:]])

@@ -495,3 +495,19 @@ def test_line_edge_geometry(square):
     assert math.isclose(e.length(square), 2.0, rel_tol=1e-15)
     assert e.curvature(square) == 0.0
     assert np.allclose(e.point(0.5, square), [0.0, -1.0])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", ("square", "lshape"))
+@pytest.mark.parametrize("k", (600, -600))
+def test_parse_far_from_unit_scale(name, k):
+    # coordinates whose squares overflow or underflow: the checks run on a
+    # copy scaled to unit size by a power of two, so the domain parses
+    # with no warning, the same angles and windows, and lengths scaled
+    with open(domain_path(name)) as fh:
+        doc = json.load(fh)
+    d0, d = parse_domain(doc), parse_domain(_scaled(doc, 2.0 ** k))
+    assert interior_angles(d) == interior_angles(d0)
+    assert pf.domain_windows(d, 1.0) == pf.domain_windows(d0, 1.0)
+    assert d.tol == math.ldexp(d0.tol, k)
+    assert d.epsilon == {v: math.ldexp(x, k) for v, x in d0.epsilon.items()}

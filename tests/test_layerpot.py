@@ -594,6 +594,11 @@ def _dense_smallest(B, k):
     return np.linalg.svd(B, compute_uv=False)[::-1][:k]
 
 
+def _dense_pairs(B, k, starts=None):
+    # the dense values in place of the study's Lanczos, passing no vectors on
+    return _dense_smallest(B, k), None
+
+
 def _study_mesh(d, a, n):
     # the study's mesh and its weight diagonal
     mesh = _mesh_for(d, n, 0.5, max(4, min(n // 2, 24)))
@@ -627,7 +632,7 @@ def test_smallest_singular_values_match_dense(name, monkeypatch):
                                                 deflate=deflate)
             with monkeypatch.context() as m:
                 m.setattr(lp, "_twin_null_vectors", _no_twin_pairs)
-                m.setattr(lp, "_smallest_singular_values", _dense_smallest)
+                m.setattr(lp, "_smallest_singular_pairs", _dense_pairs)
                 dense = min_singular_value_study(d, c, 0.0,
                                                  mesh_sizes=(8, 16, 32),
                                                  deflate=deflate)
@@ -669,7 +674,7 @@ def test_smallest_singular_values_fallback_on_failed_certificate(square,
                                                                  monkeypatch):
     # a vector that is no singular vector leaves a large residual, so the
     # dense values are returned rather than its Rayleigh value
-    def wrong_vector(op, k, v0, tol):
+    def wrong_vector(op, k, v0, ncv, tol):
         return np.ones(k), (v0 / np.linalg.norm(v0))[:, None]
 
     monkeypatch.setattr(lp, "eigsh", wrong_vector)
@@ -833,9 +838,12 @@ def test_twin_check_misses_without_exact_pairs(name, c, monkeypatch):
     res = min_singular_value_study(d, c, -0.25, mesh_sizes=(8, 16),
                                    deflate=k - 1)
     assert calls == [1, 1]
-    assert [r[2] for r in res.rows] == [
-        _smallest_singular_values(_study_matrix(d, c, -0.25, n), k)[-1]
-        for n in (8, 16)]
+    want = [_smallest_singular_values(_study_matrix(d, c, -0.25, n), k)[-1]
+            for n in (8, 16)]
+    # the first mesh starts cold, as here; the second from the first's
+    # vectors, which moves sigma by rounding
+    assert res.rows[0][2] == want[0]
+    assert abs(res.rows[1][2] - want[1]) <= 1e-12 * want[1]
 
 
 def test_crack_study_peak_memory(tcrack_square):
@@ -921,3 +929,136 @@ def test_study_rejects_bad_deflate(circle):
     with pytest.raises(ValueError, match="leaves no singular value"):
         min_singular_value_study(circle, -1.0, 0.0, mesh_sizes=(8, 16),
                                  deflate=8)
+
+
+# -- start vectors carried from mesh to mesh -------------------------------
+
+def _is_cold(v0):
+    # the fixed random start of a first deflation step
+    return np.array_equal(v0, np.random.default_rng(0).standard_normal(len(v0)))
+
+
+def _recording_eigsh(monkeypatch, fail):
+    # eigsh that records each v0, and answers a v0 for which fail holds
+    # with a vector that fails the certificate
+    seen = []
+
+    def recording(op, k, v0, ncv, tol):
+        seen.append(v0.copy())
+        if fail(v0):
+            return np.ones(k), (v0 / np.linalg.norm(v0))[:, None]
+        return eigsh(op, k=k, v0=v0, ncv=ncv, tol=tol)
+
+    monkeypatch.setattr(lp, "eigsh", recording)
+    return seen
+
+
+def _cold_sigma(d, c, a, n, k):
+    return _smallest_singular_values(_study_matrix(d, c, a, n), k)[-1]
+
+
+def test_failed_carried_start_retried_from_random_start(square, monkeypatch):
+    # the 16 mesh starts from the 8 mesh's prolonged vector, which here
+    # fails the certificate; the fixed random start then answers
+    mesh8, D8 = _study_mesh(square, -0.25, 8)
+    B8 = weighted_discrete_operator(square, 1.0, -0.25, mesh8, D8)
+    carried = lp._prolong(lp._smallest_singular_pairs(B8, 1)[1], mesh8,
+                          _study_mesh(square, -0.25, 16)[0])
+    want = [_cold_sigma(square, 1.0, -0.25, n, 1) for n in (8, 16)]
+    seen = _recording_eigsh(monkeypatch, lambda v0: not _is_cold(v0))
+    monkeypatch.setattr(scipy.linalg, "svd", _no_dense_svd)
+    res = min_singular_value_study(square, 1.0, -0.25, mesh_sizes=(8, 16))
+    assert len(seen) == 3 and _is_cold(seen[0]) and _is_cold(seen[2])
+    assert np.array_equal(seen[1], carried[:, 0])
+    assert [r[2] for r in res.rows] == want
+
+
+def test_dense_answer_passes_no_vectors_on(square, monkeypatch):
+    # on the 16 mesh both starts fail, so the dense SVD answers, and the
+    # 32 mesh starts cold
+    sizes = [_mesh_for(square, n, 0.5, max(4, n // 2)).size
+             for n in (8, 16, 32)]
+    want = [_cold_sigma(square, 1.0, -0.25, 8, 1),
+            _dense_smallest(_study_matrix(square, 1.0, -0.25, 16), 1)[-1],
+            _cold_sigma(square, 1.0, -0.25, 32, 1)]
+    seen = _recording_eigsh(monkeypatch, lambda v0: len(v0) == sizes[1])
+    res = min_singular_value_study(square, 1.0, -0.25,
+                                   mesh_sizes=(8, 16, 32))
+    assert [len(v) for v in seen] == [sizes[0], sizes[1], sizes[1], sizes[2]]
+    assert [_is_cold(v) for v in seen] == [True, False, True, True]
+    assert [r[2] for r in res.rows] == want
+
+
+def test_twin_answer_passes_no_vectors_on(slit_square, monkeypatch):
+    # the 16 mesh is answered by the twin search, so the 32 mesh starts
+    # cold, not from the 8 mesh's vector
+    sizes = [_mesh_for(slit_square, n, 0.5, max(4, n // 2)).size
+             for n in (8, 16, 32)]
+    monkeypatch.setattr(lp, "_twin_null_vectors",
+                        lambda mesh, c, D, k: mesh.size == sizes[1])
+    seen = _recording_eigsh(monkeypatch, lambda v0: False)
+    res = min_singular_value_study(slit_square, 0.5, -0.25,
+                                   mesh_sizes=(8, 16, 32))
+    assert res.rows[1][2] == 0.0
+    assert [len(v) for v in seen] == [sizes[0], sizes[2]]
+    assert [_is_cold(v) for v in seen] == [True, True]
+
+
+@pytest.mark.parametrize("name", ("square", "lshape", "hexagon"))
+def test_carried_starts_match_cold_starts(name, monkeypatch):
+    # every mesh after the first starts from carried vectors, and its
+    # sigma equals the cold one to 1e-12 relative, with the same trend
+    d = pf.parse_domain(domain_path(name))
+    sizes = (8, 16, 32, 64)
+    prolonged = []
+    prolong = lp._prolong
+
+    def counted(*args):
+        prolonged.append(1)
+        return prolong(*args)
+
+    for c in (1.0, -1.0):
+        k = 2 if c < 0 else 1
+        for a in (-0.45, -0.05):
+            with monkeypatch.context() as m:
+                m.setattr(lp, "_prolong", counted)
+                warm = min_singular_value_study(d, c, a, sizes, deflate=k - 1)
+            with monkeypatch.context() as m:
+                m.setattr(lp, "_prolong", lambda *args: None)
+                cold = min_singular_value_study(d, c, a, sizes, deflate=k - 1)
+            assert warm.trend == cold.trend
+            for (n, _, got), (_, _, want) in zip(warm.rows, cold.rows):
+                assert want == _cold_sigma(d, c, a, n, k)
+                assert abs(got - want) <= 1e-12 * want
+    assert len(prolonged) == 4 * (len(sizes) - 1)
+
+
+@pytest.mark.parametrize("name", ALL_DOMAINS)
+def test_prolong_exact_on_linear_in_logit(name):
+    # a density linear in logit(tau) on each unfolded edge, times sqrt(w),
+    # is carried exactly to rounding inside the coarse nodes' range, and
+    # past it takes the value at the nearest coarse end node
+    u = pf.desingularize_boundary(pf.parse_domain(domain_path(name)))
+    coarse, fine = graded_mesh(u, 8, 0.5, 4), graded_mesh(u, 32, 0.5, 16)
+    coef = {uid: np.random.default_rng(7).standard_normal((2, 2))
+            for uid in coarse.slices}
+
+    def density(mesh):
+        f = np.empty((mesh.size, 2))
+        for uid, sl in mesh.slices.items():
+            t = mesh.tau[sl]
+            f[sl] = np.log(t / (1.0 - t))[:, None] * coef[uid][1] + coef[uid][0]
+        return f
+
+    got = lp._prolong(density(coarse) * np.sqrt(coarse.weights)[:, None],
+                      coarse, fine) / np.sqrt(fine.weights)[:, None]
+    want = density(fine)
+    for uid, sl in fine.slices.items():
+        tc = coarse.tau[coarse.slices[uid]]
+        t = fine.tau[sl]
+        inside = (tc[0] <= t) & (t <= tc[-1])
+        assert np.allclose(got[sl][inside], want[sl][inside],
+                           rtol=1e-12, atol=1e-12)
+        ends = density(coarse)[coarse.slices[uid]][[0, -1]]
+        assert np.allclose(got[sl][t < tc[0]], ends[0], rtol=1e-12, atol=0.0)
+        assert np.allclose(got[sl][t > tc[-1]], ends[1], rtol=1e-12, atol=0.0)
