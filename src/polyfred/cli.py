@@ -110,16 +110,20 @@ def _emit(report: dict, out: str | None, fmt: str, table_key: str | None = None)
             click.echo(json.dumps(report, indent=2), file=target)
 
 
-def _config_echo(**kwargs) -> dict:
-    return {**kwargs, "version": __version__}
+class _Main(click.Group):
+    """Reports a subcommand's ValueError, OSError or MemoryError (bad input,
+    an unwritable --out, a matrix too large to allocate) as `error: ...` on
+    stderr, the bare name where it has no text, and exits 3."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (ValueError, OSError, MemoryError) as exc:
+            click.echo(f"error: {str(exc) or type(exc).__name__}", err=True)
+            sys.exit(3)
 
 
-def _fail(message: str, code: int = 3):
-    click.echo(f"error: {message}", err=True)
-    sys.exit(code)
-
-
-@click.group()
+@click.group(cls=_Main)
 @click.version_option(__version__)
 def main():
     """Fredholm analysis of layer potential operators c*I + K."""
@@ -142,13 +146,10 @@ _format_option = click.option("--format", "fmt",
 @_out_option
 def analyze(domain_file, a, c, out):
     """Fredholm verdict for c*I + K on the weight-a scale."""
-    try:
-        d = parse_domain(domain_file)
-        v = layerpot.fredholm_verdict(d, c, a)
-    except (ValueError, OSError) as exc:
-        _fail(str(exc))
+    d = parse_domain(domain_file)
+    v = layerpot.fredholm_verdict(d, c, a)
     report = {
-        "config": _config_echo(domain=domain_file, c=c, a=a),
+        "config": dict(domain=domain_file, c=c, a=a, version=__version__),
         "verdict": v.overall,
         "elliptic": v.elliptic,
         "witnesses": list(v.witnesses),
@@ -174,13 +175,10 @@ def analyze(domain_file, a, c, out):
 @_format_option
 def window(domain_file, c, out, fmt):
     """Admissible weight window per vertex and globally, with margin curve."""
-    try:
-        d = parse_domain(domain_file)
-        rep = layerpot.domain_windows(d, c)
-    except (ValueError, OSError) as exc:
-        _fail(str(exc))
+    d = parse_domain(domain_file)
+    rep = layerpot.domain_windows(d, c)
     report = {
-        "config": _config_echo(domain=domain_file, c=c),
+        "config": dict(domain=domain_file, c=c, version=__version__),
         "per_vertex": {k: list(w) if w else None
                        for k, w in rep.per_vertex.items()},
         "global_window": (list(rep.global_window)
@@ -197,26 +195,19 @@ def window(domain_file, c, out, fmt):
 @click.option("--g", "g_expr", required=True,
               help="boundary data, e.g. 'x^2-y^2' or 're(z^3)'")
 @click.option("--mesh-n", type=int, default=32, show_default=True)
-@click.option("--mesh-q", type=float, default=0.5, show_default=True)
-@click.option("--mesh-nc", type=int, default=12, show_default=True)
 @_c_option
 @_out_option
-def solve(domain_file, g_expr, mesh_n, mesh_q, mesh_nc, c, out):
+def solve(domain_file, g_expr, mesh_n, c, out):
     """Dirichlet solve (I + K) phi = 2 g with interior error report."""
     if c != 1.0:                                    # NaN fails too
-        _fail(f"c = {c}: the Dirichlet identity requires c = +1")
-    try:
-        d = parse_domain(domain_file)
-        g = parse_boundary_data(g_expr)
-        mesh = layerpot.graded_mesh(layerpot.unfold(d), n=mesh_n, q=mesh_q,
-                                    n_c=mesh_nc)
-        sol = layerpot.solve_dirichlet(d, g, mesh=mesh)
-        pts, errs = _interior_probe(sol, g)
-    except (ValueError, OSError) as exc:
-        _fail(str(exc))
+        raise ValueError(f"c = {c}: the Dirichlet identity requires c = +1")
+    d = parse_domain(domain_file)
+    g = parse_boundary_data(g_expr)
+    sol = layerpot.solve_dirichlet(d, g, mesh=layerpot.solve_mesh(d, mesh_n))
+    pts, errs = _interior_probe(sol, g)
     report = {
-        "config": _config_echo(domain=domain_file, g=g_expr, c=c,
-                               mesh_n=mesh_n, mesh_q=mesh_q, mesh_nc=mesh_nc),
+        "config": dict(domain=domain_file, g=g_expr, c=c, mesh_n=mesh_n,
+                       version=__version__),
         "solve_residual": sol.residual,
         "interior_points_tested": len(pts),
         "max_interior_relative_error": (max(errs) if errs else None),
@@ -252,28 +243,23 @@ def _interior_probe(sol, g, margin=0.2):
 @click.option("--mesh-n", "mesh_ns", type=int, multiple=True,
               default=(8, 16, 32, 64), show_default=True,
               help="mesh sizes of the refinement sequence")
-@click.option("--mesh-q", type=float, default=0.5, show_default=True)
 @click.option("--deflate", type=int, default=None,
               help="skip this many smallest singular values "
                    "(default: 1 for c=-1, else 0)")
 @_c_option
 @_out_option
 @_format_option
-def study(domain_file, a, mesh_ns, mesh_q, deflate, c, out, fmt):
+def study(domain_file, a, mesh_ns, deflate, c, out, fmt):
     """Smallest singular value of the weighted operator under refinement."""
-    try:
-        d = parse_domain(domain_file)
-        if deflate is None:
-            deflate = 1 if c == -1.0 else 0
-        res = layerpot.min_singular_value_study(
-            d, c, a, mesh_sizes=tuple(mesh_ns), q=mesh_q, deflate=deflate)
-    except (ValueError, OSError) as exc:
-        _fail(str(exc))
+    d = parse_domain(domain_file)
+    if deflate is None:
+        deflate = 1 if c == -1.0 else 0
+    res = layerpot.min_singular_value_study(
+        d, c, a, mesh_sizes=tuple(mesh_ns), deflate=deflate)
     table = [("n", "nodes", "sigma")] + [list(r) for r in res.rows]
     report = {
-        "config": _config_echo(domain=domain_file, c=c, a=a,
-                               mesh_n=list(mesh_ns), mesh_q=mesh_q,
-                               deflate=deflate),
+        "config": dict(domain=domain_file, c=c, a=a, mesh_n=list(mesh_ns),
+                       deflate=deflate, version=__version__),
         "trend": res.trend,
         "slope": res.slope,
         "table": table,

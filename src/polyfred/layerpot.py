@@ -43,6 +43,10 @@ SIGMA_CERT_RTOL = 1e-8
 # smallest graded cell width h*q^n_c (as a fraction of the edge) a mesh may
 # have: the panel ends next to a vertex must stay distinct in double precision
 MIN_GRADED_WIDTH = 1e-13
+# graded cells shrink by this ratio toward a vertex; a Dirichlet solve's
+# mesh has SOLVE_DEPTH of them per edge end, a study's mesh _study_depth(n)
+GRADING_Q = 0.5
+SOLVE_DEPTH = 12
 # ARPACK's Krylov basis size per Lanczos run.  It spends ncv + 1 products
 # before its first restart, so scipy's default of 20 caps what a good start
 # vector can save: with carried starts, studies on the crack-free fixtures
@@ -108,7 +112,7 @@ def _graded_breaks(n: int, q: float, n_c: int) -> np.ndarray:
     return np.concatenate([half, right[1:] if n % 2 == 0 else right])
 
 
-def graded_mesh(u: UnfoldedDomain, n: int = 16, q: float = 0.5,
+def graded_mesh(u: UnfoldedDomain, n: int = 16, q: float = GRADING_Q,
                 n_c: int = 8) -> BoundaryMesh:
     """Midpoint-rule mesh of the unfolded boundary of u, geometrically
     refined toward every vertex.
@@ -182,6 +186,17 @@ def graded_mesh(u: UnfoldedDomain, n: int = 16, q: float = 0.5,
 
 def _mesh_for(d, n: int, q: float, n_c: int) -> BoundaryMesh:
     return graded_mesh(desingularize_boundary(d), n, q, n_c)
+
+
+def solve_mesh(d, n: int = 32) -> BoundaryMesh:
+    """The Dirichlet solve's mesh of d: n middle cells per edge."""
+    return _mesh_for(d, n, GRADING_Q, SOLVE_DEPTH)
+
+
+def _study_depth(n: int) -> int:
+    # grading depth grows with n but is capped so that the smallest panels
+    # (and the weight r^(-1/2-a)) stay within double precision
+    return max(4, min(n // 2, 24))
 
 
 # -- Nystrom assembly ------------------------------------------------------
@@ -447,7 +462,7 @@ def solve_dirichlet(d: ConicalDomain, g,
     if d.has_cracks:
         raise ValueError("Dirichlet harness supports crack-free domains only")
     if mesh is None:
-        mesh = _mesh_for(d, 32, 0.5, 12)
+        mesh = solve_mesh(d)
     sys = assemble_np(d, mesh)
     sys[np.diag_indices_from(sys)] += 1.0
     if callable(g):
@@ -643,7 +658,7 @@ def _prolong(U: np.ndarray, coarse: BoundaryMesh,
 
 
 def min_singular_value_study(d, c: float, a: float,
-                             mesh_sizes=(8, 16, 32, 64), q: float = 0.5,
+                             mesh_sizes=(8, 16, 32, 64),
                              deflate: int = 0) -> StudyResult:
     """Track a small singular value of the weighted operator under refinement.
 
@@ -689,9 +704,7 @@ def min_singular_value_study(d, c: float, a: float,
                          f"increasing order, got {tuple(mesh_sizes)}")
 
     def one(n, carried):
-        # grading depth grows with n but is capped so that the smallest
-        # panels (and the weight r^(-1/2-a)) stay within double precision
-        mesh = _mesh_for(d, n, q, max(4, min(n // 2, 24)))
+        mesh = _mesh_for(d, n, GRADING_Q, _study_depth(n))
         if deflate >= mesh.size:
             raise ValueError(f"deflate {deflate} leaves no singular value "
                              f"of a {mesh.size}-node mesh")

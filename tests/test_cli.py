@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import shlex
 from collections import Counter
 
 import numpy as np
@@ -445,7 +446,7 @@ def test_solve_runs_no_symbolic_route(runner, monkeypatch):
                  "admissible_weight_window"):
         monkeypatch.setattr(layerpot, name, refuse)
     res = runner.invoke(main, ["solve", domain_path("square"), "--g", "x",
-                               "--mesh-n", "8", "--mesh-nc", "4"])
+                               "--mesh-n", "8"])
     assert res.exit_code == 0, res.output
     assert "a" not in json.loads(res.stdout)["config"]
 
@@ -593,10 +594,8 @@ def test_analyze_strip_edge(runner, name, a, c):
 SURFACE = {
     "analyze": {"--a", "--c", "--out"},
     "window": {"--c", "--out", "--format"},
-    "solve": {"--g", "--mesh-n", "--mesh-q", "--mesh-nc", "--c",
-              "--out"},
-    "study": {"--a", "--mesh-n", "--mesh-q", "--deflate", "--c", "--out",
-              "--format"},
+    "solve": {"--g", "--mesh-n", "--c", "--out"},
+    "study": {"--a", "--mesh-n", "--deflate", "--c", "--out", "--format"},
 }
 
 
@@ -629,3 +628,81 @@ def test_scan_settings_are_no_options(runner, cmd, opt):
     res = runner.invoke(main, [cmd, domain_path("square"), opt, "0.5"])
     assert res.exit_code == 2
     assert f"No such option '{opt}'" in res.output
+
+
+@pytest.mark.parametrize("cmd, opt", [("solve", "--mesh-q"),
+                                      ("solve", "--mesh-nc"),
+                                      ("study", "--mesh-q")])
+def test_mesh_grading_is_no_option(runner, cmd, opt):
+    # the grading ratio and the grading depths are constants of layerpot:
+    # each former option is a usage error
+    res = runner.invoke(main, [cmd, domain_path("square"), opt, "0.5"])
+    assert res.exit_code == 2
+    assert f"No such option '{opt}'" in res.output
+
+
+# a quick run of each subcommand on the square
+QUICK = {"analyze": [], "window": [], "solve": ["--g", "x", "--mesh-n", "8"],
+         "study": ["--mesh-n", "8", "--mesh-n", "16"]}
+
+
+@pytest.mark.parametrize("cmd", QUICK)
+def test_unwritable_out_exits_3(runner, tmp_path, cmd):
+    # a report that cannot be written is an error, not a verdict
+    out = tmp_path / "missing" / "r.json"
+    res = runner.invoke(main, [cmd, domain_path("square"), *QUICK[cmd],
+                               "--out", str(out)])
+    assert res.exit_code == 3, res.output
+    assert res.stdout == ""
+    assert "error: " in res.stderr and str(out) in res.stderr
+
+
+@pytest.mark.parametrize("cmd", ["solve", "study"])
+def test_allocation_failure_exits_3(runner, monkeypatch, cmd):
+    # a matrix too large to allocate is an error, not a traceback
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(layerpot, "assemble_np", no_memory)
+    monkeypatch.setattr(layerpot, "weighted_discrete_operator", no_memory)
+    res = runner.invoke(main, [cmd, domain_path("square"), *QUICK[cmd]])
+    assert res.exit_code == 3, res.output
+    assert res.stdout == ""
+    assert res.stderr == "error: MemoryError\n"
+
+
+# -- README examples -------------------------------------------------------
+
+def _readme_block(heading):
+    # the first fenced block after the README line `heading`
+    text = (ROOT / "README.md").read_text()
+    return re.search(rf"^{heading}\n\n```\w+\n(.*?)```", text,
+                     re.S | re.M).group(1)
+
+
+def test_readme_command_lines(runner, monkeypatch):
+    # each polyfred line of the README's command block exits as its
+    # comment states
+    monkeypatch.chdir(ROOT)
+    block = _readme_block("## Command line")
+    lines = re.findall(r"^polyfred (.*?)\s*# exit (\d)", block, re.M)
+    assert len(lines) == block.count("polyfred ") == 5
+    for argv, code in lines:
+        res = runner.invoke(main, shlex.split(argv))
+        assert res.exit_code == int(code), (argv, res.output)
+
+
+def test_readme_python_example(monkeypatch):
+    # the README's Python example runs and prints what its comments state
+    monkeypatch.chdir(ROOT)
+    code = _readme_block("Example:")
+    ns = {}
+    exec(code, ns)
+    stated = dict(re.findall(r"^print\((.*?)\)\s*# (.*)$", code, re.M))
+    assert stated["v.overall"] == '"Fredholm"'
+    assert ns["v"].overall == "Fredholm"
+    assert stated["w.global_window"] == "approximately (-2/3, 2/3)"
+    assert np.allclose(ns["w"].global_window, (-2 / 3, 2 / 3),
+                       rtol=0, atol=1e-6)
+    assert stated["s.trend"] == '"bounded-below"'
+    assert ns["s"].trend == "bounded-below"

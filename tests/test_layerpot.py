@@ -98,7 +98,7 @@ def test_panel_ends_are_the_edge_points_at_the_breaks(name):
     d = pf.parse_domain(domain_path(name))
     u = pf.desingularize_boundary(d)
     for n in (8, 32, 128):
-        n_c = max(4, min(n // 2, 24))
+        n_c = lp._study_depth(n)
         mesh = graded_mesh(u, n, 0.5, n_c)
         for ue in u.uedges.values():
             e = d.edges[ue.base_edge_id]
@@ -345,7 +345,7 @@ def test_entries_built_alone_match_the_matrix(name, c, n):
     # rows, columns and 2 x 2 blocks built on their own are bitwise those
     # of the whole matrix, unweighted and at two weights
     d = pf.parse_domain(domain_path(name))
-    mesh = _mesh_for(d, n, 0.5, max(4, min(n // 2, 24)))
+    mesh = _mesh_for(d, n, 0.5, lp._study_depth(n))
     nodes = np.arange(mesh.size)
     rng = np.random.default_rng(n)
     idx = rng.choice(mesh.size, 7, replace=False)
@@ -601,7 +601,7 @@ def _dense_pairs(B, k, starts=None):
 
 def _study_mesh(d, a, n):
     # the study's mesh and its weight diagonal
-    mesh = _mesh_for(d, n, 0.5, max(4, min(n // 2, 24)))
+    mesh = _mesh_for(d, n, 0.5, lp._study_depth(n))
     return mesh, lp._weight_diagonal(mesh, a)
 
 
@@ -976,8 +976,7 @@ def test_failed_carried_start_retried_from_random_start(square, monkeypatch):
 def test_dense_answer_passes_no_vectors_on(square, monkeypatch):
     # on the 16 mesh both starts fail, so the dense SVD answers, and the
     # 32 mesh starts cold
-    sizes = [_mesh_for(square, n, 0.5, max(4, n // 2)).size
-             for n in (8, 16, 32)]
+    sizes = [_study_mesh(square, -0.25, n)[0].size for n in (8, 16, 32)]
     want = [_cold_sigma(square, 1.0, -0.25, 8, 1),
             _dense_smallest(_study_matrix(square, 1.0, -0.25, 16), 1)[-1],
             _cold_sigma(square, 1.0, -0.25, 32, 1)]
@@ -992,8 +991,7 @@ def test_dense_answer_passes_no_vectors_on(square, monkeypatch):
 def test_twin_answer_passes_no_vectors_on(slit_square, monkeypatch):
     # the 16 mesh is answered by the twin search, so the 32 mesh starts
     # cold, not from the 8 mesh's vector
-    sizes = [_mesh_for(slit_square, n, 0.5, max(4, n // 2)).size
-             for n in (8, 16, 32)]
+    sizes = [_study_mesh(slit_square, -0.25, n)[0].size for n in (8, 16, 32)]
     monkeypatch.setattr(lp, "_twin_null_vectors",
                         lambda mesh, c, D, k: mesh.size == sizes[1])
     seen = _recording_eigsh(monkeypatch, lambda v0: False)

@@ -36,7 +36,7 @@ def test_tracer_reads_window_and_study_queries():
                "study/square": ["study", domain_path("square"),
                                 "--mesh-n", "8", "--mesh-n", "16"],
                "solve/square": ["solve", domain_path("square"), "--g", "x",
-                                "--mesh-n", "8", "--mesh-nc", "4"]}
+                                "--mesh-n", "8"]}
     scan = layerpot.invertibility_scan
     tracer.install(cli, layerpot, mellin, np, scipy)
     try:
