@@ -204,7 +204,7 @@ def solve(domain_file, g_expr, mesh_n, c, out):
     d = parse_domain(domain_file)
     g = parse_boundary_data(g_expr)
     sol = layerpot.solve_dirichlet(d, g, mesh=layerpot.solve_mesh(d, mesh_n))
-    pts, errs = _interior_probe(sol, g)
+    pts, errs = _interior_probe(d, sol, g)
     report = {
         "config": dict(domain=domain_file, g=g_expr, c=c, mesh_n=mesh_n,
                        version=__version__),
@@ -218,10 +218,18 @@ def solve(domain_file, g_expr, mesh_n, c, out):
     sys.exit(0)
 
 
-def _interior_probe(sol, g, margin=0.2):
+def _interior_probe(d, sol, g):
     """Evaluate the solution on a grid of interior points at distance
-    >= margin from the boundary and compare against the boundary data
-    extended harmonically (valid when g is the trace of the expression)."""
+    >= 0.1 * the largest side of d's box from the nodes and compare against
+    the boundary data extended harmonically (valid when g is the trace of
+    the expression), relative to max |g| at the nodes."""
+    # d's box holds its vertices and its arcs' full circles
+    corners = [v.pos for v in d.vertices.values()]
+    for e in d.edges.values():
+        if e.kind == "arc":
+            center, radius = np.array(e.params["center"]), e.params["radius"]
+            corners += [center - radius, center + radius]
+    margin = 0.1 * np.ptp(corners, axis=0).max()
     axes = np.linspace(sol.mesh.points.min(axis=0),
                        sol.mesh.points.max(axis=0), 17).T
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
@@ -231,7 +239,7 @@ def _interior_probe(sol, g, margin=0.2):
     # 2 inside the loop and 0 outside
     inside = layerpot.panel_potentials(grid, sol.mesh).sum(axis=1) > 1.0
     pts = grid[(dmin >= margin) & inside]
-    scale = max(1.0, float(np.max(np.abs(sol.g))))
+    scale = float(np.max(np.abs(sol.g))) or 1.0     # 1.0 only for g = 0
     vals = sol(pts)
     errs = [abs(v - g(x, y)) / scale for v, (x, y) in zip(vals, pts)]
     return pts, errs

@@ -30,9 +30,9 @@ from .groupoid import MellinOperator, limit_operator
 from .mellin import admissible_weight_window, invertibility_scan
 
 INCONCLUSIVE_MARGIN = 1e-3
-# the weights every window is clipped to: a domain without vertices is
-# Fredholm on all of them
-_SEARCH = (-1.2, 1.2)
+# the half-width of the weights (-1.2, 1.2) every window is clipped to: a
+# domain without vertices is Fredholm on all of them
+_SEARCH = 1.2
 SOLVE_RESIDUAL_TOL = 1e-10
 # singular values at or below this are rounding level (the dense SVD of an
 # exactly singular operator lands there too); a study ending there decays
@@ -53,6 +53,11 @@ SOLVE_DEPTH = 12
 # at c = +-1 took 31 % fewer products at 12 and 22 % fewer at 20, while at
 # 8 a nearly double smallest value (hexagon, c = 1) took thousands per mesh
 LANCZOS_NCV = 12
+# the Nystrom layer squares coordinate differences, from 2^(e+1) across a
+# domain of extent 2^e to about 2^(e-50) across its smallest graded cells:
+# |e| <= 400 keeps the squares normal (2^-900 .. 2^802), where the layer is
+# scale-free; subnormals cost digits at 2^-500, and 2^510 overflows
+MAX_EXTENT_EXPONENT = 400
 
 
 # -- pointwise kernel ------------------------------------------------------
@@ -112,8 +117,8 @@ def _graded_breaks(n: int, q: float, n_c: int) -> np.ndarray:
     return np.concatenate([half, right[1:] if n % 2 == 0 else right])
 
 
-def graded_mesh(u: UnfoldedDomain, n: int = 16, q: float = GRADING_Q,
-                n_c: int = 8) -> BoundaryMesh:
+def graded_mesh(u: UnfoldedDomain, n: int, q: float,
+                n_c: int) -> BoundaryMesh:
     """Midpoint-rule mesh of the unfolded boundary of u, geometrically
     refined toward every vertex.
 
@@ -121,10 +126,17 @@ def graded_mesh(u: UnfoldedDomain, n: int = 16, q: float = GRADING_Q,
     uniform middle subintervals plus n_c geometric ones per end (ratio q),
     one node per subinterval, in the traversal order of the unfolded edge.
     A closed vertex-free arc is meshed uniformly (periodic trapezoid rule).
+    A domain whose extent exponent is beyond +-MAX_EXTENT_EXPONENT raises
+    ValueError before any node is computed.
     """
     if n < 4 or not 0.0 < q < 1.0 or n_c < 2:
         raise ValueError("need n >= 4, q in (0,1), n_c >= 2")
     d = u.base
+    e = geometry._extent_exponent(d.vertices.values(), d.edges.values())
+    if abs(e) > MAX_EXTENT_EXPONENT:
+        raise ValueError(
+            f"domain extent 2^{e} is beyond the Nystrom layer's range "
+            f"2^-{MAX_EXTENT_EXPONENT} .. 2^{MAX_EXTENT_EXPONENT}")
     base_ids = list(d.edges)
     pts, nus, ws, curs, rs, bidx, stra = [], [], [], [], [], [], []
     pas, pbs, taus = [], [], []
@@ -396,35 +408,31 @@ class WindowReport:
 
 def domain_windows(d: ConicalDomain, c: float) -> WindowReport:
     """Admissible weight window per vertex stratum, clipped to the search
-    range [-1.2, 1.2] (_SEARCH) and intersected globally, with the margin
-    curve across the global window.
+    range [-_SEARCH, _SEARCH] = [-1.2, 1.2] and intersected globally, with
+    the margin curve across the global window.
 
-    A stratum's window is the one around a = 0 (``admissible_weight_window``)
-    clipped to the search range, or None when nothing is left, and then so
-    is the global window; so it is at c = 0, where c*I + K is not elliptic.
-    Otherwise a domain without vertices is Fredholm on the whole search
-    range.  The limit operators are built once and serve both the windows
-    and the curve, which samples 21 weights from 1e-3 inside the global
-    window; each row holds the weight and the margin and witness xi of the
-    stratum with the smallest margin there.  c must be finite, else
+    A stratum's window around a = 0 (``admissible_weight_window``) is
+    (-h, h); with h clipped to _SEARCH it is kept, or None when h <= 0, and
+    then so is the global window, as at c = 0, where c*I + K is not
+    elliptic.  Otherwise the global half-width is the least of the strata's
+    and _SEARCH.  The limit operators are built once and serve both the
+    windows and the curve, which samples 21 weights from 1e-3 inside the
+    global window; each row holds the weight and the margin and witness xi
+    of the stratum with the smallest margin there.  c must be finite, else
     ValueError is raised before any scan.
     """
     _check_finite(c=c)
-    a_min, a_max = _SEARCH
     ops = limit_operators(d)
-    per_vertex = {}
+    half = {}
     for vid, op in ops.items():
-        # None is the empty interval (inf, -inf)
-        w = admissible_weight_window(op, c) or (math.inf, -math.inf)
-        lo, hi = max(a_min, w[0]), min(a_max, w[1])
-        per_vertex[vid] = (lo, hi) if lo < hi else None
-    ends = list(per_vertex.values())
-    lo = max([a_min] + [w[0] for w in ends if w])
-    hi = min([a_max] + [w[1] for w in ends if w])
-    window = (lo, hi) if c != 0.0 and all(ends) and lo < hi else None
+        w = admissible_weight_window(op, c)
+        half[vid] = min(_SEARCH, w[1]) if w else 0.0
+    per_vertex = {vid: (-h, h) if h > 0.0 else None for vid, h in half.items()}
+    h = min(half.values(), default=_SEARCH) if c != 0.0 else 0.0
+    window = (-h, h) if h > 0.0 else None
     curve = []
     if window and ops:
-        for a in np.linspace(lo + 1e-3, hi - 1e-3, 21):
+        for a in np.linspace(1e-3 - h, h - 1e-3, 21):
             worst = min((invertibility_scan(op, c, float(a))
                          for op in ops.values()), key=lambda r: r.margin)
             curve.append((float(a), worst.margin, worst.witness_xi))
@@ -456,8 +464,9 @@ def solve_dirichlet(d: ConicalDomain, g,
     so with the right-hand side 2g the evaluator returns half the potential
     and matches g on the boundary.  On a crack-free domain I + K is always
     Fredholm (Verchota 1984: every corner symbol is [[0, s], [s, 0]] with
-    |s| < 1), so no verdict precedes the solve.  A domain with cracks and a
-    residual above SOLVE_RESIDUAL_TOL raise ValueError.
+    |s| < 1), so no verdict precedes the solve.  g is a function g(x, y),
+    evaluated at the mesh nodes.  A domain with cracks and a residual above
+    SOLVE_RESIDUAL_TOL times max |2g| raise ValueError.
     """
     if d.has_cracks:
         raise ValueError("Dirichlet harness supports crack-free domains only")
@@ -465,13 +474,11 @@ def solve_dirichlet(d: ConicalDomain, g,
         mesh = solve_mesh(d)
     sys = assemble_np(d, mesh)
     sys[np.diag_indices_from(sys)] += 1.0
-    if callable(g):
-        rhs = np.array([g(p[0], p[1]) for p in mesh.points])
-    else:
-        rhs = np.asarray(g, dtype=float)
+    rhs = np.array([g(p[0], p[1]) for p in mesh.points])
     phi = np.linalg.solve(sys, 2.0 * rhs)
     residual = float(np.max(np.abs(sys @ phi - 2.0 * rhs)))
-    if not residual <= SOLVE_RESIDUAL_TOL:          # NaN fails too
+    # relative to the data, so g = 0 needs a zero residual; NaN fails too
+    if not residual <= SOLVE_RESIDUAL_TOL * np.max(np.abs(2.0 * rhs)):
         raise ValueError(f"linear solve residual {residual:.2e} above tolerance")
     return SolveResult(phi, mesh, residual, rhs)
 
@@ -498,16 +505,12 @@ def _weight_diagonal(mesh: BoundaryMesh, a: float) -> np.ndarray:
     return D
 
 
-def weighted_discrete_operator(d, c: float, a: float, mesh: BoundaryMesh,
-                               D: np.ndarray | None = None) -> np.ndarray:
-    """D (c I + A) D^{-1} with D the diagonal realizing the weight-a pairing,
-    assembled, shifted and scaled in blocks of rows: besides the result
-    only small temporaries are live.  D is ``_weight_diagonal(mesh, a)``,
-    computed here unless the caller has it; a weight that takes it beyond
-    the float range raises ValueError.  A study builds this matrix only
-    when its twin search (``_twin_null_vectors``) misses."""
-    if D is None:
-        D = _weight_diagonal(mesh, a)
+def weighted_discrete_operator(mesh: BoundaryMesh, c: float,
+                               D: np.ndarray) -> np.ndarray:
+    """D (c I + A) D^{-1} with D the diagonal realizing a weight's pairing
+    (``_weight_diagonal``), assembled, shifted and scaled in blocks of rows:
+    besides the result only small temporaries are live.  A study builds
+    this matrix only when its twin search (``_twin_null_vectors``) misses."""
     return _nystrom_matrix(mesh, c, D)
 
 
@@ -548,12 +551,12 @@ def _twin_null_vectors(mesh: BoundaryMesh, c: float, D: np.ndarray,
     return False
 
 
-def _lanczos_pairs(B: np.ndarray, lu: np.ndarray, piv: np.ndarray, k: int,
+def _lanczos_pairs(B: np.ndarray, lu: np.ndarray, piv: np.ndarray,
                    starts: np.ndarray):
-    """(sigma, U): k singular values of B and their left singular vectors,
-    found by Lanczos on the inverse Gram operator of the LU (lu, piv) of B,
-    deflation step j started from starts[:, j].  None when ARPACK raises or
-    a pair fails the certificate."""
+    """(sigma, U): a singular value of B and its left singular vector per
+    column of starts, found by Lanczos on the inverse Gram operator of the
+    LU (lu, piv) of B, deflation step j started from starts[:, j].  None
+    when ARPACK raises or a pair fails the certificate."""
     n = len(B)
     U, V = np.zeros((n, 0)), np.zeros((n, 0))
 
@@ -624,7 +627,7 @@ def _smallest_singular_pairs(B: np.ndarray, k: int,
         x0 = np.random.default_rng(0).standard_normal(n)
         cold = np.broadcast_to(x0[:, None], (n, k))
         for x0s in (cold,) if starts is None else (starts, cold):
-            pairs = _lanczos_pairs(B, lu, piv, k, x0s)
+            pairs = _lanczos_pairs(B, lu, piv, x0s)
             if pairs is not None:
                 return np.sort(pairs[0]), pairs[1]
     lu[...] = B  # the LU is spent; an SVD of B itself would copy B again
@@ -633,12 +636,6 @@ def _smallest_singular_pairs(B: np.ndarray, k: int,
     svals = scipy.linalg.svd(lu, compute_uv=False, overwrite_a=True,
                              check_finite=False)
     return svals[::-1][:k], None
-
-
-def _smallest_singular_values(B: np.ndarray, k: int) -> np.ndarray:
-    """The k smallest singular values of the square matrix B, ascending,
-    from the fixed random start (``_smallest_singular_pairs``)."""
-    return _smallest_singular_pairs(B, k)[0]
 
 
 def _prolong(U: np.ndarray, coarse: BoundaryMesh,
@@ -711,7 +708,7 @@ def min_singular_value_study(d, c: float, a: float,
         D = _weight_diagonal(mesh, a)
         if d.has_cracks and _twin_null_vectors(mesh, c, D, 1 + deflate):
             return (n, mesh.size, 0.0), None
-        B = weighted_discrete_operator(d, c, a, mesh, D)
+        B = weighted_discrete_operator(mesh, c, D)
         starts = None if carried is None else _prolong(*carried, mesh)
         sigma, U = _smallest_singular_pairs(B, 1 + deflate, starts)
         return (n, mesh.size, float(sigma[-1])), (

@@ -1,5 +1,6 @@
 """Shared fixtures: parsed domain files from the domains/ directory."""
 
+import copy
 import math
 import pathlib
 
@@ -28,6 +29,19 @@ CRACK_DOMAINS = ("slit_square", "slit_disk", "tcrack_square")
 
 def domain_path(name: str) -> str:
     return str(DOMAINS / f"{name}.json")
+
+
+def scaled_doc(doc, f):
+    """The domain document with every length multiplied by f."""
+    doc = copy.deepcopy(doc)
+    for v in doc["vertices"]:
+        v["x"], v["y"] = f * v["x"], f * v["y"]
+    for e in doc["edges"]:
+        if "params" in e:
+            p = e["params"]
+            p["center"] = [f * x for x in p["center"]]
+            p["radius"] = f * p["radius"]
+    return doc
 
 
 def domain_doc(vertices, edges):

@@ -1,6 +1,5 @@
 """Domain parsing, vertex analysis, unfolding, and distance functions."""
 
-import copy
 import json
 import math
 from fractions import Fraction
@@ -23,7 +22,8 @@ from polyfred.geometry import (
     unfold,
 )
 
-from conftest import ALL_DOMAINS, MALFORMED_DOMAINS, domain_doc, domain_path
+from conftest import (ALL_DOMAINS, MALFORMED_DOMAINS, domain_doc, domain_path,
+                      scaled_doc)
 
 TWO_PI = 2.0 * math.pi
 
@@ -129,19 +129,6 @@ def test_intersecting_edges_rejected(name):
         parse_domain(INTERSECTING[name])
 
 
-def _scaled(doc, f):
-    # the domain document with every length multiplied by f
-    doc = copy.deepcopy(doc)
-    for v in doc["vertices"]:
-        v["x"], v["y"] = f * v["x"], f * v["y"]
-    for e in doc["edges"]:
-        if "params" in e:
-            p = e["params"]
-            p["center"] = [f * x for x in p["center"]]
-            p["radius"] = f * p["radius"]
-    return doc
-
-
 @pytest.mark.parametrize("f", (1e-10, 1e-8, 1e4))
 def test_validation_is_scale_free(f):
     # the gap tolerance scales with the domain: the square accepted at
@@ -149,10 +136,10 @@ def test_validation_is_scale_free(f):
     with open(domain_path("square")) as fh:
         doc = json.load(fh)
     want = interior_angles(parse_domain(doc))
-    assert interior_angles(parse_domain(_scaled(doc, f))) == want
+    assert interior_angles(parse_domain(scaled_doc(doc, f))) == want
     for bad in MALFORMED_DOMAINS.values():
         with pytest.raises(DomainError):
-            parse_domain(_scaled(bad, f))
+            parse_domain(scaled_doc(bad, f))
 
 
 def _segments_meet(p, q, r, s, tol) -> bool:
@@ -506,7 +493,7 @@ def test_parse_far_from_unit_scale(name, k):
     # with no warning, the same angles and windows, and lengths scaled
     with open(domain_path(name)) as fh:
         doc = json.load(fh)
-    d0, d = parse_domain(doc), parse_domain(_scaled(doc, 2.0 ** k))
+    d0, d = parse_domain(doc), parse_domain(scaled_doc(doc, 2.0 ** k))
     assert interior_angles(d) == interior_angles(d0)
     assert pf.domain_windows(d, 1.0) == pf.domain_windows(d0, 1.0)
     assert d.tol == math.ldexp(d0.tol, k)

@@ -19,7 +19,6 @@ from polyfred.groupoid import RayPairKernel, limit_operator
 from polyfred.layerpot import (
     _graded_breaks,
     _mesh_for,
-    _smallest_singular_values,
     assemble_np,
     double_layer_potential,
     fredholm_verdict,
@@ -81,14 +80,14 @@ def test_graded_mesh_counts(square):
 def test_graded_mesh_rejects_bad_params(square):
     M = pf.unfold(square)
     with pytest.raises(ValueError):
-        graded_mesh(M, n=2)
+        graded_mesh(M, 2, 0.5, 8)
     with pytest.raises(ValueError):
-        graded_mesh(M, q=1.0)
+        graded_mesh(M, 16, 1.0, 8)
     # smallest width h*q^n_c below lp.MIN_GRADED_WIDTH
     with pytest.raises(ValueError, match="smallest graded width"):
-        graded_mesh(M, n=64, q=0.2, n_c=24)
+        graded_mesh(M, 64, 0.2, 24)
     with pytest.raises(ValueError):
-        graded_mesh(M, n_c=1)
+        graded_mesh(M, 16, 0.5, 1)
 
 
 @pytest.mark.parametrize("name", ALL_DOMAINS)
@@ -267,7 +266,7 @@ def test_constant_density_potential_is_winding(circle, square):
 def test_weighted_operator_is_similarity(circle):
     mesh = _mesh_for(circle, 32, 0.5, 8)
     A = assemble_np(circle, mesh)
-    B = weighted_discrete_operator(circle, 1.0, 0.3, mesh)
+    B = weighted_discrete_operator(mesh, 1.0, lp._weight_diagonal(mesh, 0.3))
     ev_a = np.sort(np.linalg.eigvals(np.eye(mesh.size) + A).real)
     ev_b = np.sort(np.linalg.eigvals(B).real)
     assert np.allclose(ev_a, ev_b, atol=1e-9)
@@ -283,7 +282,8 @@ def test_weighted_operator_bit_level(name, c):
     D = np.sqrt(mesh.weights) * mesh.r ** (-(0.5 + a))
     want = ((c * np.eye(mesh.size) + assemble_np(d, mesh))
             * (D[:, None] / D[None, :]))
-    assert np.array_equal(weighted_discrete_operator(d, c, a, mesh), want)
+    B = weighted_discrete_operator(mesh, c, lp._weight_diagonal(mesh, a))
+    assert np.array_equal(B, want)
 
 
 def _whole_matrix(mesh, c=None, a=None):
@@ -333,8 +333,9 @@ def test_blocked_assembly_matches_whole_matrix(name):
         step = lp._BLOCK_ELEMENTS // mesh.size
         assert mesh.size <= step if one_block else mesh.size % step > 0
         assert np.array_equal(assemble_np(d, mesh), _whole_matrix(mesh))
+        D = lp._weight_diagonal(mesh, -0.25)
         for c in (1.0, -1.0, 0.5):
-            assert np.array_equal(weighted_discrete_operator(d, c, -0.25, mesh),
+            assert np.array_equal(weighted_discrete_operator(mesh, c, D),
                                   _whole_matrix(mesh, c, -0.25))
 
 
@@ -378,7 +379,8 @@ def test_weighted_operator_peak_memory(lshape):
     # besides it only block-sized temporaries are live
     mesh = _mesh_for(lshape, 128, 0.5, 24)
     N = mesh.size
-    peak = _peak_bytes(weighted_discrete_operator, lshape, 1.0, -0.25, mesh)
+    peak = _peak_bytes(weighted_discrete_operator, mesh, 1.0,
+                       lp._weight_diagonal(mesh, -0.25))
     assert peak <= 1.25 * 8 * N * N
 
 
@@ -559,7 +561,7 @@ def test_solve_rejects_nan_data(square):
     # a NaN residual is no residual within tolerance
     mesh = _mesh_for(square, 8, 0.5, 4)
     with pytest.raises(ValueError, match="residual"):
-        solve_dirichlet(square, np.full(mesh.size, np.nan), mesh=mesh)
+        solve_dirichlet(square, lambda x, y: math.nan, mesh=mesh)
 
 
 # -- sigma_min studies -----------------------------------------------------
@@ -608,7 +610,7 @@ def _study_mesh(d, a, n):
 def _study_matrix(d, c, a, n):
     # the weighted matrix of the study's mesh
     mesh, D = _study_mesh(d, a, n)
-    return weighted_discrete_operator(d, c, a, mesh, D)
+    return weighted_discrete_operator(mesh, c, D)
 
 
 def _no_dense_svd(*args, **kwargs):
@@ -655,7 +657,7 @@ def test_smallest_singular_values_exact_zero_pivot(tcrack_square,
     assert np.any(np.diagonal(lu) == 0.0)
     want = _dense_smallest(B, 2)
     monkeypatch.setattr(np.linalg, "svd", _no_dense_svd)
-    got = _smallest_singular_values(B, 2)
+    got = lp._smallest_singular_pairs(B, 2)[0]
     assert np.all(got <= 1e-12) and np.all(want <= 1e-12)
 
 
@@ -666,7 +668,7 @@ def test_smallest_singular_values_fallback_on_no_convergence(square,
 
     monkeypatch.setattr(lp, "eigsh", no_convergence)
     B = _study_matrix(square, -1.0, 0.0, 16)
-    assert np.array_equal(_smallest_singular_values(B, 2),
+    assert np.array_equal(lp._smallest_singular_pairs(B, 2)[0],
                           _dense_smallest(B, 2))
 
 
@@ -679,7 +681,7 @@ def test_smallest_singular_values_fallback_on_failed_certificate(square,
 
     monkeypatch.setattr(lp, "eigsh", wrong_vector)
     B = _study_matrix(square, 1.0, 0.0, 16)
-    assert np.array_equal(_smallest_singular_values(B, 1),
+    assert np.array_equal(lp._smallest_singular_pairs(B, 1)[0],
                           _dense_smallest(B, 1))
 
 
@@ -689,7 +691,7 @@ def test_smallest_singular_values_circle_deflated(circle):
     # the circle, and the huge 1/sigma_1^2 must not hide it
     for n in (8, 16, 32, 64):
         B = _study_matrix(circle, -1.0, 0.0, n)
-        got = _smallest_singular_values(B, 2)
+        got = lp._smallest_singular_pairs(B, 2)[0]
         assert got[0] <= 1e-12
         assert abs(got[1] - 1.0) <= 1e-10
 
@@ -790,16 +792,16 @@ def test_twin_check_misses_one_ulp_off(name, c, k, request, monkeypatch):
     # is exact any more, the search misses, and the LU runs on B
     d = request.getfixturevalue(name)
     mesh, D = _study_mesh(d, -0.25, 16)
-    B = weighted_discrete_operator(d, c, -0.25, mesh, D)
+    B = weighted_discrete_operator(mesh, c, D)
     pairs = _exact_twin_pairs(B, mesh.twin, c)
     assert len(pairs) >= k
     for j, _ in pairs:
         D[j] = np.nextafter(D[j], np.inf)
-    B = weighted_discrete_operator(d, c, -0.25, mesh, D)
+    B = weighted_discrete_operator(mesh, c, D)
     assert _exact_twin_pairs(B, mesh.twin, c) == []
     assert not lp._twin_null_vectors(mesh, c, D, k)
     calls = _counted_lu(monkeypatch)
-    got = _smallest_singular_values(B, k)
+    got = lp._smallest_singular_pairs(B, k)[0]
     assert calls == [1] and np.all(got <= lp.ROUNDING_SIGMA)
 
 
@@ -838,8 +840,8 @@ def test_twin_check_misses_without_exact_pairs(name, c, monkeypatch):
     res = min_singular_value_study(d, c, -0.25, mesh_sizes=(8, 16),
                                    deflate=k - 1)
     assert calls == [1, 1]
-    want = [_smallest_singular_values(_study_matrix(d, c, -0.25, n), k)[-1]
-            for n in (8, 16)]
+    want = [lp._smallest_singular_pairs(_study_matrix(d, c, -0.25, n),
+                                        k)[0][-1] for n in (8, 16)]
     # the first mesh starts cold, as here; the second from the first's
     # vectors, which moves sigma by rounding
     assert res.rows[0][2] == want[0]
@@ -870,7 +872,7 @@ def test_smallest_singular_values_lanczos_without_floored_pivots(square,
     monkeypatch.setattr(lp, "eigsh", counted)
     monkeypatch.setattr(np.linalg, "svd", _no_dense_svd)
     monkeypatch.setattr(scipy.linalg, "svd", _no_dense_svd)
-    got = _smallest_singular_values(B, 1)
+    got = lp._smallest_singular_pairs(B, 1)[0]
     assert calls == [1]
     assert np.allclose(got, want, rtol=1e-10, atol=0.0)
 
@@ -881,7 +883,7 @@ def test_smallest_singular_values_crack_fallback(tcrack_square, monkeypatch):
     B = _study_matrix(tcrack_square, -1.0, -0.25, 16)
     want = _dense_smallest(B, 2)
     monkeypatch.setattr(lp, "eigsh", _no_lanczos_convergence)
-    assert np.array_equal(_smallest_singular_values(B, 2), want)
+    assert np.array_equal(lp._smallest_singular_pairs(B, 2)[0], want)
 
 
 def test_smallest_singular_values_fallback_in_place(square, monkeypatch):
@@ -907,7 +909,7 @@ def test_smallest_singular_values_fallback_in_place(square, monkeypatch):
     monkeypatch.setattr(lp.lapack, "dgetrf", record_lu)
     monkeypatch.setattr(lp, "eigsh", _no_lanczos_convergence)
     monkeypatch.setattr(scipy.linalg, "svd", svd)
-    assert np.array_equal(_smallest_singular_values(B, 2), [1.0, 2.0])
+    assert np.array_equal(lp._smallest_singular_pairs(B, 2)[0], [1.0, 2.0])
     assert len(calls) == 1 and calls[0] is lus[0]
     assert np.array_equal(B, B0)
 
@@ -918,7 +920,7 @@ def test_smallest_singular_values_repeated_minimum(square):
     B = _study_matrix(square, 1.0, 0.0, 32)
     want = _dense_smallest(B, 3)
     assert abs(want[1] - want[0]) <= 1e-12 * want[0] < want[2] - want[1]
-    got = _smallest_singular_values(B, 3)
+    got = lp._smallest_singular_pairs(B, 3)[0]
     assert np.allclose(got, want, rtol=1e-10, atol=0.0)
 
 
@@ -954,14 +956,14 @@ def _recording_eigsh(monkeypatch, fail):
 
 
 def _cold_sigma(d, c, a, n, k):
-    return _smallest_singular_values(_study_matrix(d, c, a, n), k)[-1]
+    return lp._smallest_singular_pairs(_study_matrix(d, c, a, n), k)[0][-1]
 
 
 def test_failed_carried_start_retried_from_random_start(square, monkeypatch):
     # the 16 mesh starts from the 8 mesh's prolonged vector, which here
     # fails the certificate; the fixed random start then answers
     mesh8, D8 = _study_mesh(square, -0.25, 8)
-    B8 = weighted_discrete_operator(square, 1.0, -0.25, mesh8, D8)
+    B8 = weighted_discrete_operator(mesh8, 1.0, D8)
     carried = lp._prolong(lp._smallest_singular_pairs(B8, 1)[1], mesh8,
                           _study_mesh(square, -0.25, 16)[0])
     want = [_cold_sigma(square, 1.0, -0.25, n, 1) for n in (8, 16)]
