@@ -194,7 +194,8 @@ def window(domain_file, c, out, fmt):
 @click.argument("domain_file", type=click.Path(exists=True))
 @click.option("--g", "g_expr", required=True,
               help="boundary data, e.g. 'x^2-y^2' or 're(z^3)'")
-@click.option("--mesh-n", type=int, default=32, show_default=True)
+@click.option("--mesh-n", type=int, default=layerpot.SOLVE_MESH_N,
+              show_default=True)
 @_c_option
 @_out_option
 def solve(domain_file, g_expr, mesh_n, c, out):
@@ -249,7 +250,7 @@ def _interior_probe(d, sol, g):
 @click.argument("domain_file", type=click.Path(exists=True))
 @click.option("--a", type=float, default=0.0, show_default=True)
 @click.option("--mesh-n", "mesh_ns", type=int, multiple=True,
-              default=(8, 16, 32, 64), show_default=True,
+              default=layerpot.STUDY_MESH_SIZES, show_default=True,
               help="mesh sizes of the refinement sequence")
 @click.option("--deflate", type=int, default=None,
               help="skip this many smallest singular values "

@@ -170,7 +170,8 @@ class ConicalDomain:
         self.edges: dict[str, Edge] = {e.id: e for e in edges}
         if len(self.edges) != len(edges):
             raise DomainError("duplicate edge ids")
-        e = _extent_exponent(vertices, edges)
+        # e with the largest coordinate or arc radius in [2^(e-1), 2^e)
+        self.extent_exponent = e = _extent_exponent(vertices, edges)
         if e != 0:
             # the checks square coordinates, so they run on a copy scaled by
             # 2^-e to unit size, which is exact; its lengths scale back

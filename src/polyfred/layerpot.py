@@ -47,6 +47,9 @@ MIN_GRADED_WIDTH = 1e-13
 # mesh has SOLVE_DEPTH of them per edge end, a study's mesh _study_depth(n)
 GRADING_Q = 0.5
 SOLVE_DEPTH = 12
+# middle cells per edge of a solve's mesh, and a study's refinement sequence
+SOLVE_MESH_N = 32
+STUDY_MESH_SIZES = (8, 16, 32, 64)
 # ARPACK's Krylov basis size per Lanczos run.  It spends ncv + 1 products
 # before its first restart, so scipy's default of 20 caps what a good start
 # vector can save: with carried starts, studies on the crack-free fixtures
@@ -132,50 +135,40 @@ def graded_mesh(u: UnfoldedDomain, n: int, q: float,
     if n < 4 or not 0.0 < q < 1.0 or n_c < 2:
         raise ValueError("need n >= 4, q in (0,1), n_c >= 2")
     d = u.base
-    e = geometry._extent_exponent(d.vertices.values(), d.edges.values())
-    if abs(e) > MAX_EXTENT_EXPONENT:
+    if abs(d.extent_exponent) > MAX_EXTENT_EXPONENT:
         raise ValueError(
-            f"domain extent 2^{e} is beyond the Nystrom layer's range "
-            f"2^-{MAX_EXTENT_EXPONENT} .. 2^{MAX_EXTENT_EXPONENT}")
+            f"domain extent 2^{d.extent_exponent} is beyond the Nystrom "
+            f"layer's range 2^-{MAX_EXTENT_EXPONENT} .. 2^{MAX_EXTENT_EXPONENT}")
+    # the weights come from the widths: near 1 the breaks resolve a width
+    # only to one ulp of 1.  Only a domain without vertices, a closed arc,
+    # has no graded edge
+    widths, breaks = _graded_widths(n, q, n_c), _graded_breaks(n, q, n_c)
+    if d.vertices and widths[0] < MIN_GRADED_WIDTH:
+        raise ValueError(
+            f"smallest graded width h*q^n_c = {widths[0]:.3g} is below "
+            f"{MIN_GRADED_WIDTH:g} at mesh size n = {n}: lower n")
+    uniform = np.linspace(0.0, 1.0, n + 1)
     base_ids = list(d.edges)
-    pts, nus, ws, curs, rs, bidx, stra = [], [], [], [], [], [], []
-    pas, pbs, taus = [], [], []
-    slices = {}
-    pos = 0
+    records, slices, pos = [], {}, 0
     for ue in u.uedges.values():
         e = d.edges[ue.base_edge_id]
-        closed_free = e.is_closed() and e.v_from is None
-        if closed_free:
-            breaks = np.linspace(0.0, 1.0, n + 1)
-            dtau = np.diff(breaks)
-        else:
-            # the weights come from the widths: near 1 the breaks resolve
-            # a width only to one ulp of 1
-            dtau = _graded_widths(n, q, n_c)
-            if dtau[0] < MIN_GRADED_WIDTH:
-                raise ValueError(
-                    f"smallest graded width h*q^n_c = {dtau[0]:.3g} is below "
-                    f"{MIN_GRADED_WIDTH:g}: raise q or lower n_c")
-            breaks = _graded_breaks(n, q, n_c)
-        tau = 0.5 * (breaks[:-1] + breaks[1:])
+        b, dtau = ((uniform, np.diff(uniform))
+                   if e.is_closed() and e.v_from is None else (breaks, widths))
+        tau = 0.5 * (b[:-1] + b[1:])
+        sign = 1.0 if ue.forward else -1.0
         s = tau if ue.forward else 1.0 - tau
-        ends = e.point(breaks if ue.forward else 1.0 - breaks, d)
+        ends = e.point(b if ue.forward else 1.0 - b, d)
         P = e.point(s, d)
-        T = e.tangent(s, d) * (1.0 if ue.forward else -1.0)
-        NU = np.stack([T[:, 1], -T[:, 0]], axis=-1)
-        L = e.length(d)
-        kappa = e.curvature(d) * (1.0 if ue.forward else -1.0)
+        T = e.tangent(s, d) * sign
         m = len(tau)
-        pts.append(P)
-        pas.append(ends[:-1])
-        pbs.append(ends[1:])
-        taus.append(tau)
-        nus.append(NU)
-        ws.append(L * dtau)
-        curs.append(np.full(m, kappa))
-        rs.append(smoothed_distance(d, P))
-        bidx.append(np.full(m, base_ids.index(e.id)))
-        stra.append(np.full(m, e.kind == "line"))
+        records.append(dict(
+            points=P, normals=np.stack([T[:, 1], -T[:, 0]], axis=-1),
+            weights=e.length(d) * dtau,
+            curvatures=np.full(m, e.curvature(d) * sign),
+            r=smoothed_distance(d, P),
+            base_index=np.full(m, base_ids.index(e.id), dtype=np.int32),
+            straight=np.full(m, e.kind == "line"),
+            panel_a=ends[:-1], panel_b=ends[1:], tau=tau))
         slices[ue.uid] = slice(pos, pos + m)
         pos += m
 
@@ -188,19 +181,15 @@ def graded_mesh(u: UnfoldedDomain, n: int, q: float,
         # face sits at the same point as node m-1-j on the other
         twin[np.arange(sl.start, sl.stop)] = np.arange(tl.stop - 1,
                                                        tl.start - 1, -1)
-    return BoundaryMesh(
-        np.vstack(pts), np.vstack(nus), np.concatenate(ws),
-        np.concatenate(curs), np.concatenate(rs),
-        np.concatenate(bidx).astype(np.int32),
-        np.concatenate(stra).astype(bool),
-        twin, np.vstack(pas), np.vstack(pbs), slices, np.concatenate(taus))
+    return BoundaryMesh(twin=twin, slices=slices, **{
+        k: np.concatenate([rec[k] for rec in records]) for k in records[0]})
 
 
 def _mesh_for(d, n: int, q: float, n_c: int) -> BoundaryMesh:
     return graded_mesh(desingularize_boundary(d), n, q, n_c)
 
 
-def solve_mesh(d, n: int = 32) -> BoundaryMesh:
+def solve_mesh(d, n: int = SOLVE_MESH_N) -> BoundaryMesh:
     """The Dirichlet solve's mesh of d: n middle cells per edge."""
     return _mesh_for(d, n, GRADING_Q, SOLVE_DEPTH)
 
@@ -411,8 +400,8 @@ def domain_windows(d: ConicalDomain, c: float) -> WindowReport:
     range [-_SEARCH, _SEARCH] = [-1.2, 1.2] and intersected globally, with
     the margin curve across the global window.
 
-    A stratum's window around a = 0 (``admissible_weight_window``) is
-    (-h, h); with h clipped to _SEARCH it is kept, or None when h <= 0, and
+    A stratum's window around a = 0 is (-h, h), with the half-width h of
+    ``admissible_weight_window`` clipped to _SEARCH, or None when h <= 0, and
     then so is the global window, as at c = 0, where c*I + K is not
     elliptic.  Otherwise the global half-width is the least of the strata's
     and _SEARCH.  The limit operators are built once and serve both the
@@ -425,8 +414,8 @@ def domain_windows(d: ConicalDomain, c: float) -> WindowReport:
     ops = limit_operators(d)
     half = {}
     for vid, op in ops.items():
-        w = admissible_weight_window(op, c)
-        half[vid] = min(_SEARCH, w[1]) if w else 0.0
+        h = admissible_weight_window(op, c)
+        half[vid] = min(_SEARCH, h) if h is not None else 0.0
     per_vertex = {vid: (-h, h) if h > 0.0 else None for vid, h in half.items()}
     h = min(half.values(), default=_SEARCH) if c != 0.0 else 0.0
     window = (-h, h) if h > 0.0 else None
@@ -655,7 +644,7 @@ def _prolong(U: np.ndarray, coarse: BoundaryMesh,
 
 
 def min_singular_value_study(d, c: float, a: float,
-                             mesh_sizes=(8, 16, 32, 64),
+                             mesh_sizes=STUDY_MESH_SIZES,
                              deflate: int = 0) -> StudyResult:
     """Track a small singular value of the weighted operator under refinement.
 

@@ -180,10 +180,14 @@ def _line_samples(op: MellinOperator, gamma, xi) -> np.ndarray:
 
 
 def _det(op: MellinOperator, c: float, lam) -> np.ndarray:
-    """det(c*I + symbol) at an array of lam of any shape."""
+    """det(s (c*I + symbol)) at an array of lam of any shape, where
+    s = 2^(1-e) for 2^(e-1) <= max(1, |c|) < 2^e is exact, is 1 for |c| < 2
+    and keeps det (about c^k) in range at any finite c.  The callers read
+    only zeros, signs and arguments of det, which s^k > 0 leaves alone."""
     lam = np.asarray(lam, dtype=complex)
-    return np.linalg.det(c * np.eye(op.size) + _line_samples(
-        op, lam.imag.ravel(), lam.real.ravel())).reshape(lam.shape)
+    s = math.ldexp(1.0, 1 - math.frexp(max(1.0, abs(c)))[1])
+    return np.linalg.det(s * (c * np.eye(op.size) + _line_samples(
+        op, lam.imag.ravel(), lam.real.ravel()))).reshape(lam.shape)
 
 
 def tail_majorant(op: MellinOperator, xi: float) -> float:
@@ -213,8 +217,8 @@ def _base_grid(xi_max: float) -> np.ndarray:
     lo = np.linspace(0.0, min(2.0, xi_max), 81)
     if xi_max <= 2.0:
         return lo
-    hi = np.geomspace(2.0, xi_max, 80)
-    return np.unique(np.concatenate([lo, hi]))
+    # geomspace returns its endpoints exactly: 2.0 is dropped once
+    return np.concatenate([lo, np.geomspace(2.0, xi_max, 80)[1:]])
 
 
 def symbol_on_line(op: MellinOperator, c: float, a: float,
@@ -277,32 +281,28 @@ def invertibility_scan(op: MellinOperator, c: float, a: float,
     """
     if not 0.0 < xi_max < math.inf:
         raise MellinError(f"xi_max = {xi_max} must be positive and finite")
-    samples = symbol_on_line(op, c, a, _base_grid(xi_max))
-    i = int(np.argmin(samples.sigma_min))
-    margin, witness = float(samples.sigma_min[i]), float(samples.xi[i])
-    if margin <= SCAN_TOL:
-        return ScanResult(False, margin, witness, xi_max)
-
     # asymptotic matrix: the kernel part vanishes, the jump part does not
     asym = c * np.eye(op.size) + op.delta
     sig_inf = float(np.linalg.svd(asym, compute_uv=False)[-1])
-    if sig_inf <= SCAN_TOL:
-        return ScanResult(False, min(margin, sig_inf), math.inf, xi_max)
-
-    cur = xi_max
-    while tail_majorant(op, cur) >= sig_inf - SCAN_TOL:
+    # the base grid is the first segment of xi, each doubling the next
+    margin, witness = math.inf, math.nan
+    grid, cur = _base_grid(xi_max), xi_max
+    while True:
+        samples = symbol_on_line(op, c, a, grid)
+        j = int(np.argmin(samples.sigma_min))
+        if samples.sigma_min[j] < margin:
+            margin, witness = float(samples.sigma_min[j]), float(samples.xi[j])
+        if margin <= SCAN_TOL:
+            return ScanResult(False, margin, witness, cur)
+        if sig_inf <= SCAN_TOL:
+            return ScanResult(False, min(margin, sig_inf), math.inf, cur)
+        if tail_majorant(op, cur) < sig_inf - SCAN_TOL:
+            return ScanResult(True, margin, witness, cur)
         if cur >= XI_MAX_CAP:
             raise MellinError(
                 f"tail bound fails at xi_max = {cur} (cap {XI_MAX_CAP})")
         nxt = min(2.0 * cur, XI_MAX_CAP)
-        extra = symbol_on_line(op, c, a, np.linspace(cur, nxt, 160))
-        j = int(np.argmin(extra.sigma_min))
-        if extra.sigma_min[j] < margin:
-            margin, witness = float(extra.sigma_min[j]), float(extra.xi[j])
-            if margin <= SCAN_TOL:
-                return ScanResult(False, margin, witness, nxt)
-        cur = nxt
-    return ScanResult(True, margin, witness, cur)
+        grid, cur = np.linspace(cur, nxt, 160), nxt
 
 
 # -- admissible weight windows --------------------------------------------
@@ -337,18 +337,17 @@ def _windings(op: MellinOperator, c: float, gammas, xi: np.ndarray):
         xi[np.argmin(np.abs(f), axis=1)] + 1j * gam[:, 0]
 
 
-def admissible_weight_window(op: MellinOperator,
-                             c: float) -> tuple[float, float] | None:
-    """Interval (lo, hi) of weights around a = 0 whose lines hold no zero
-    of det(c*I + symbol), or None when the scan of the line a = 0 fails
-    (c*I + J singular at a crack tip, or a zero on that line).  det is
-    analytic on the strip and tends to det(c*I + delta), so its winding on
-    Im(lam) = gamma changes where the line crosses a zero, always in one
-    direction (argument principle).  Bisection on the winding brackets an
-    end to 2e-3, at most 2e-2 inside the validity strip; Newton on det (fit
-    for multiple zeros) starts from the least |det| on the outer line.
-    Windings stop where the reference scan's tail bound holds.  The symbol
-    is even: one end mirrors the other.
+def admissible_weight_window(op: MellinOperator, c: float) -> float | None:
+    """Half-width h of the interval (-h, h) of weights around a = 0 whose
+    lines hold no zero of det(c*I + symbol), or None when the scan of the
+    line a = 0 fails (c*I + J singular at a crack tip, or a zero on that
+    line).  det is analytic on the strip and tends to det(c*I + delta), so
+    its winding on Im(lam) = gamma changes where the line crosses a zero,
+    always in one direction (argument principle).  Bisection on the winding
+    brackets the end to 2e-3, at most 2e-2 inside the validity strip;
+    Newton on det (fit for multiple zeros) starts from the least |det| on
+    the outer line.  Windings stop where the reference scan's tail bound
+    holds.  The symbol is even, so the window is symmetric about a = 0.
     """
     ref = invertibility_scan(op, c, 0.0)
     if not ref.invertible:
@@ -358,7 +357,7 @@ def admissible_weight_window(op: MellinOperator,
     edge = validity_strip(op)[1] - 2e-2
     (w0, w1), z = _windings(op, c, [0.0, edge], grid)
     if w1 == w0:
-        return (line_offset(edge), edge)
+        return edge
     lo, hi, lam, h = 0.0, edge, z[1], 1e-4
     while abs(hi - lo) > 2e-3:
         mid = 0.5 * (lo + hi)
@@ -371,6 +370,7 @@ def admissible_weight_window(op: MellinOperator,
         lam, h = lam - step, min(1e-4, max(abs(step), 1e-6))
         if abs(step) <= 1e-13:
             break
-    if abs(2.0 * lam.imag - lo - hi) > abs(hi - lo) + 2.0 * ENDPOINT_TOL:
+    # a NaN step fails the test too
+    if not abs(2.0 * lam.imag - lo - hi) <= abs(hi - lo) + 2.0 * ENDPOINT_TOL:
         raise MellinError(f"Newton left the bracket ({lo}, {hi}) at {lam}")
-    return (float(line_offset(lam.imag)), float(lam.imag))
+    return float(lam.imag)

@@ -417,6 +417,21 @@ def test_analyze_not_fredholm_with_zero_on_reference_line(runner):
     assert res.exit_code == 1
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("c", ("1e80", "-1e80", "1e160", "-1e160", "1e250",
+                               "-1e250"))
+@pytest.mark.parametrize("name", ("square", "tcrack_square", "circle"))
+def test_window_and_analyze_at_large_c(runner, name, c):
+    # det(c*I + symbol) grows like c^k: the window search keeps it in range
+    half = 1.2 if name == "circle" else 0.98
+    res = runner.invoke(main, ["window", domain_path(name), "--c", c])
+    assert res.exit_code == 0
+    assert json.loads(res.stdout)["global_window"] == [-half, half]
+    res = runner.invoke(main, ["analyze", domain_path(name), "--c", c])
+    assert res.exit_code == 0
+    assert json.loads(res.stdout)["verdict"] == "Fredholm"
+
+
 # -- solve -----------------------------------------------------------------
 
 def test_solve_square(runner):
@@ -513,6 +528,15 @@ def test_study_csv_output(runner, tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0].startswith("n,")
     assert len(lines) == 4
+
+
+def test_study_mesh_too_fine_names_the_mesh_size(runner):
+    # the grading ratio and depth are no options: the error names n
+    res = runner.invoke(main, ["study", domain_path("square"),
+                               "--mesh-n", "600000", "--mesh-n", "700000"])
+    assert res.exit_code == 3
+    assert "smallest graded width" in res.stderr
+    assert "n = 600000" in res.stderr and "raise q" not in res.stderr
 
 
 @pytest.mark.parametrize("meshes", (("64",), ("8", "8"), ("16", "8")))

@@ -150,7 +150,8 @@ def test_window_empty_when_reference_is_singular():
         assert admissible_weight_window(tip, c) is None
     # elsewhere the tip has no zero: the window runs to 2e-2 inside its strip
     lo, hi = validity_strip(tip)
-    assert admissible_weight_window(tip, 3.0) == (lo + 2e-2, hi - 2e-2)
+    h = admissible_weight_window(tip, 3.0)
+    assert (0.0 - h, h) == (lo + 2e-2, hi - 2e-2)
 
 
 def test_window_ends_at_touching_zero():
@@ -170,9 +171,9 @@ def test_window_ends_at_touching_zero():
 
     assert np.all(det(double) >= 0.0)
     assert np.allclose(det(double), det(wedge) ** 2, rtol=1e-12, atol=1e-15)
-    lo, hi = admissible_weight_window(double, c)
-    want = admissible_weight_window(wedge, c)
-    assert abs(lo - want[0]) <= 1e-9 and abs(hi - want[1]) <= 1e-9
+    hi = admissible_weight_window(double, c)
+    lo, want = 0.0 - hi, admissible_weight_window(wedge, c)
+    assert abs(lo + want) <= 1e-9 and abs(hi - want) <= 1e-9
     assert 0.5 < hi < 0.6 and abs(lo + hi) <= 1e-9
 
 
@@ -362,14 +363,16 @@ def test_tail_majorant_decreases_on_fixture_strata():
 
 @pytest.mark.parametrize("c", (1.0, -1.0))
 def test_wedge_window_right_angle(c):
-    lo, hi = admissible_weight_window(wedge_np_kernel(math.pi / 2), c)
+    hi = admissible_weight_window(wedge_np_kernel(math.pi / 2), c)
+    lo = 0.0 - hi
     assert abs(lo + 2.0 / 3.0) <= 1e-6
     assert abs(hi - 2.0 / 3.0) <= 1e-6
 
 
 @pytest.mark.parametrize("c", (1.0, -1.0))
 def test_wedge_window_hexagon_angle(c):
-    lo, hi = admissible_weight_window(wedge_np_kernel(2.0 * math.pi / 3), c)
+    hi = admissible_weight_window(wedge_np_kernel(2.0 * math.pi / 3), c)
+    lo = 0.0 - hi
     assert abs(lo + 0.75) <= 1e-6
     assert abs(hi - 0.75) <= 1e-6
 
@@ -377,12 +380,13 @@ def test_wedge_window_hexagon_angle(c):
 def test_wedge_window_reflection_symmetry():
     a = admissible_weight_window(wedge_np_kernel(math.pi / 2), 1.0)
     b = admissible_weight_window(wedge_np_kernel(1.5 * math.pi), 1.0)
-    assert abs(a[0] - b[0]) <= 1e-6
-    assert abs(a[1] - b[1]) <= 1e-6
+    assert abs((0.0 - a) - (0.0 - b)) <= 1e-6
+    assert abs(a - b) <= 1e-6
 
 
 def test_window_contains_helper():
-    w = admissible_weight_window(wedge_np_kernel(math.pi / 2), 1.0)
+    h = admissible_weight_window(wedge_np_kernel(math.pi / 2), 1.0)
+    w = (0.0 - h, h)
     rep = WindowReport({"wedge": w}, w, (-2.0 / 3.0, 0.5), ())
     assert rep.contains(-0.5, 0.5)
     assert not rep.contains(-0.9, 0.5)
@@ -448,13 +452,13 @@ def test_window_ends_where_the_winding_changes(name, c):
     for op in ops.values():
         wind = _oracle_windings(op, c, ORACLE_LINES)
         assert np.all(np.diff(wind) >= 0) or np.all(np.diff(wind) <= 0)
-        window = admissible_weight_window(op, c)
-        if window is None:
+        h = admissible_weight_window(op, c)
+        if h is None:
             # a zero within 1e-6 of the reference line: w(-g) = -w(g)
             g = 1e-6
             assert _oracle_windings(op, c, [g], _zero_xi(op, c, g))[0] != 0
             continue
-        lo, hi = window
+        window = lo, hi = 0.0 - h, h
         inside = (-hi < ORACLE_LINES) & (ORACLE_LINES < -lo)
         assert np.all(wind[inside] == 0), (op.vertex_id, window)
         for end in window:
