@@ -128,6 +128,9 @@ def graded_mesh(u: UnfoldedDomain, n: int, q: float,
     Each unfolded edge (each face of a crack) with vertex endpoints gets n
     uniform middle subintervals plus n_c geometric ones per end (ratio q),
     one node per subinterval, in the traversal order of the unfolded edge.
+    Each base edge is meshed once; an unfolded edge that runs against it
+    (the "-" face of a crack) takes its nodes in reverse, so node j of one
+    crack face and node m-1-j of its twin face are exact mirrors.
     A closed vertex-free arc is meshed uniformly (periodic trapezoid rule).
     A domain whose extent exponent is beyond +-MAX_EXTENT_EXPONENT raises
     ValueError before any node is computed.
@@ -149,26 +152,35 @@ def graded_mesh(u: UnfoldedDomain, n: int, q: float,
             f"{MIN_GRADED_WIDTH:g} at mesh size n = {n}: lower n")
     uniform = np.linspace(0.0, 1.0, n + 1)
     base_ids = list(d.edges)
-    records, slices, pos = [], {}, 0
+    # each base edge is meshed once, in its own direction
+    meshed, records, slices, pos = {}, [], {}, 0
     for ue in u.uedges.values():
         e = d.edges[ue.base_edge_id]
-        b, dtau = ((uniform, np.diff(uniform))
-                   if e.is_closed() and e.v_from is None else (breaks, widths))
-        tau = 0.5 * (b[:-1] + b[1:])
-        sign = 1.0 if ue.forward else -1.0
-        s = tau if ue.forward else 1.0 - tau
-        ends = e.point(b if ue.forward else 1.0 - b, d)
-        P = e.point(s, d)
-        T = e.tangent(s, d) * sign
-        m = len(tau)
-        records.append(dict(
-            points=P, normals=np.stack([T[:, 1], -T[:, 0]], axis=-1),
-            weights=e.length(d) * dtau,
-            curvatures=np.full(m, e.curvature(d) * sign),
-            r=smoothed_distance(d, P),
-            base_index=np.full(m, base_ids.index(e.id), dtype=np.int32),
-            straight=np.full(m, e.kind == "line"),
-            panel_a=ends[:-1], panel_b=ends[1:], tau=tau))
+        if e.id not in meshed:
+            b, dtau = ((uniform, np.diff(uniform))
+                       if e.is_closed() and e.v_from is None
+                       else (breaks, widths))
+            tau = 0.5 * (b[:-1] + b[1:])
+            P, T, ends = e.point(tau, d), e.tangent(tau, d), e.point(b, d)
+            m = len(tau)
+            meshed[e.id] = dict(
+                points=P, normals=np.stack([T[:, 1], -T[:, 0]], axis=-1),
+                weights=e.length(d) * dtau,
+                curvatures=np.full(m, e.curvature(d)),
+                r=smoothed_distance(d, P),
+                base_index=np.full(m, base_ids.index(e.id), dtype=np.int32),
+                straight=np.full(m, e.kind == "line"),
+                panel_a=ends[:-1], panel_b=ends[1:], tau=tau)
+        rec = meshed[e.id]
+        if not ue.forward:
+            # an edge run backward is its base edge's record reversed, with
+            # tau still ascending: twin crack faces are exact mirrors
+            rec = {k: v[::-1] for k, v in rec.items()}
+            rec.update(normals=-rec["normals"], curvatures=-rec["curvatures"],
+                       panel_a=rec["panel_b"], panel_b=rec["panel_a"],
+                       tau=meshed[e.id]["tau"])
+        records.append(rec)
+        m = len(rec["tau"])
         slices[ue.uid] = slice(pos, pos + m)
         pos += m
 
@@ -177,8 +189,8 @@ def graded_mesh(u: UnfoldedDomain, n: int, q: float,
         if ue.twin_uid is None:
             continue
         sl, tl = slices[ue.uid], slices[ue.twin_uid]
-        # twin faces are meshed with mirrored parameters, so node j on one
-        # face sits at the same point as node m-1-j on the other
+        # node j on one face is node m-1-j of the other, mirrored: the same
+        # point, weight and r, with the normal and curvature negated
         twin[np.arange(sl.start, sl.stop)] = np.arange(tl.stop - 1,
                                                        tl.start - 1, -1)
     return BoundaryMesh(twin=twin, slices=slices, **{
@@ -499,45 +511,16 @@ def weighted_discrete_operator(mesh: BoundaryMesh, c: float,
     """D (c I + A) D^{-1} with D the diagonal realizing a weight's pairing
     (``_weight_diagonal``), assembled, shifted and scaled in blocks of rows:
     besides the result only small temporaries are live.  A study builds
-    this matrix only when its twin search (``_twin_null_vectors``) misses."""
+    this matrix only where twin pairs give no null vectors
+    (``_has_twin_null_vectors``)."""
     return _nystrom_matrix(mesh, c, D)
 
 
-def _twin_null_vectors(mesh: BoundaryMesh, c: float, D: np.ndarray,
-                       k: int) -> bool:
+def _has_twin_null_vectors(mesh: BoundaryMesh, c: float, k: int) -> bool:
     """Whether k twin node pairs give exact null vectors of
-    B = D (c I + A) D^{-1}, decided without building B.
-
-    Twin nodes of a straight crack sit at one point, so at c = -1 their
-    rows of B can be equal and at c = +1 their columns opposite.  k
-    disjoint pairs with rows exactly equal, or k with columns exactly
-    opposite, give k null vectors e_i -+ e_t, so the k smallest singular
-    values of B are exactly 0.0.  Every pair's 2 x 2 twin block is built
-    first; only a pair that passes it has its two rows (or columns) built
-    and compared, and the search stops at k.  The entries come from the
-    rule that builds B (``_nystrom_entries``), bit for bit, so the answer
-    is a fact about B itself.
-    """
-    nodes = np.arange(mesh.size)
-    i = np.flatnonzero(mesh.twin > nodes)
-    pairs = np.stack([i, mesh.twin[i]], axis=1)
-    # block p is [[B_ii, B_it], [B_ti, B_tt]] for pairs[p] = (i, t)
-    blocks = _nystrom_entries(mesh, pairs[:, :, None], pairs[:, None, :],
-                              c, D)
-    b_ii, b_it, b_ti, b_tt = blocks.reshape(-1, 4).T
-    # s = 1: rows B_i = B_t; s = -1: columns B^T_i = -B^T_t
-    for s, passed in ((1.0, (b_ii == b_ti) & (b_it == b_tt)),
-                      (-1.0, (b_ii == -b_it) & (b_ti == -b_tt))):
-        found = 0
-        for pair in pairs[passed]:
-            if s > 0:
-                M = _nystrom_entries(mesh, pair[:, None], nodes, c, D)
-            else:
-                M = _nystrom_entries(mesh, nodes[:, None], pair, c, D).T
-            found += np.array_equal(M[0], s * M[1])
-            if found == k:
-                return True
-    return False
+    B = D (c I + A) D^{-1}, decided from the mesh alone: at c = +-1 every
+    pair does (``min_singular_value_study``)."""
+    return abs(c) == 1.0 and np.count_nonzero(mesh.twin >= 0) >= 2 * k
 
 
 def _lanczos_pairs(B: np.ndarray, lu: np.ndarray, piv: np.ndarray,
@@ -664,18 +647,22 @@ def min_singular_value_study(d, c: float, a: float,
 
     Per mesh only the deflate + 1 smallest singular values are computed.
     The weight diagonal is computed first, and a weight beyond the float
-    range raises ValueError (``_weight_diagonal``).  On a domain with
-    cracks the twin node pairs are searched next, before any matrix is
-    built (``_twin_null_vectors``): when deflate + 1 of them have exactly
-    equal rows, or opposite columns, in the weighted matrix (at c = +-1),
-    every value is exactly 0.0 and no N x N array is made.  Otherwise the
-    weighted matrix is assembled (``weighted_discrete_operator``) and
-    factored by LU, and Lanczos on its inverse Gram operator finds the
-    values (``_smallest_singular_pairs``), each certified by a residual
-    computed with the matrix itself.  Lanczos starts from the previous
-    mesh's certified left singular vectors, prolonged to this mesh
-    (``_prolong``); the first mesh, and a mesh after one answered by the
-    twin search or the dense SVD, start from the fixed random start.  A
+    range raises ValueError (``_weight_diagonal``).  At c = +-1 a mesh
+    with at least deflate + 1 twin node pairs has every value exactly 0.0,
+    and no entry is built (``_has_twin_null_vectors``): cracks are straight
+    and their faces are meshed as exact mirrors (``graded_mesh``), so twin
+    nodes have equal points, weights, r and hence D, and negated normals.
+    The rule that builds every entry (``_nystrom_entries``) then makes a
+    pair's rows of the weighted matrix equal at c = -1 and its columns
+    opposite at c = +1, bit for bit, and each pair gives a null vector
+    e_i -+ e_t.  Otherwise the weighted matrix is assembled
+    (``weighted_discrete_operator``) and factored by LU, and Lanczos on
+    its inverse Gram operator finds the values
+    (``_smallest_singular_pairs``), each certified by a residual computed
+    with the matrix itself.  Lanczos starts from the previous mesh's
+    certified left singular vectors, prolonged to this mesh
+    (``_prolong``); the first mesh, and a mesh after one answered by
+    twin pairs or by the dense SVD, start from the fixed random start.  A
     start that fails the certificate or raises an ARPACK error is retried
     from the fixed random start, and a failure there sends the mesh to the
     dense SVD.  Values below ROUNDING_SIGMA are rounding level with any
@@ -695,7 +682,7 @@ def min_singular_value_study(d, c: float, a: float,
             raise ValueError(f"deflate {deflate} leaves no singular value "
                              f"of a {mesh.size}-node mesh")
         D = _weight_diagonal(mesh, a)
-        if d.has_cracks and _twin_null_vectors(mesh, c, D, 1 + deflate):
+        if _has_twin_null_vectors(mesh, c, 1 + deflate):
             return (n, mesh.size, 0.0), None
         B = weighted_discrete_operator(mesh, c, D)
         starts = None if carried is None else _prolong(*carried, mesh)

@@ -253,10 +253,15 @@ def symbol_on_line(op: MellinOperator, c: float, a: float,
         order = np.argsort(xi)
         xi, sig = xi[order], sig[order]
     if gamma == 0.0:
-        # the symbol is real here: brentq adds the zeros where det changes sign
-        s = np.sign(_det(op, c, xi).real)
-        roots = [optimize.brentq(lambda x: _det(op, c, x).real, *xi[i:i + 2])
-                 for i in np.flatnonzero(s[:-1] * s[1:] < 0)]
+        # the symbol is real here: brentq adds the zeros where det changes
+        # sign.  Far out on the line the kernel part underflows, and where
+        # c*I + delta is 0 (a corner at c = 0) numpy's det, formed through
+        # its logarithm, warns and gives 0 or NaN: no sign change either way
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = np.sign(_det(op, c, xi).real)
+            roots = [optimize.brentq(lambda x: _det(op, c, x).real,
+                                     *xi[i:i + 2])
+                     for i in np.flatnonzero(s[:-1] * s[1:] < 0)]
         xi, sig = np.append(xi, roots), np.append(sig, sigma_min(roots))
     return LineSamples(xi, sig)
 

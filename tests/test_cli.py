@@ -313,8 +313,8 @@ def test_study_weight_beyond_float_range_exits_three(runner, a):
 
 @pytest.mark.parametrize("c, a", [("1", "100"), ("-1", "-100")])
 def test_crack_study_weight_beyond_float_range_exits_three(runner, c, a):
-    # the weight is checked before the twin pairs are searched, so a crack
-    # study at c = +-1 does not answer from rows of +-inf
+    # the weight is checked before the twin pairs are read, so a crack
+    # study at c = +-1 does not answer zeros for a weight beyond range
     res = runner.invoke(main, ["study", domain_path("slit_square"), "--c", c,
                                "--a", a])
     assert res.exit_code == 3, res.output

@@ -142,6 +142,56 @@ def test_validation_is_scale_free(f):
             parse_domain(scaled_doc(bad, f))
 
 
+# the angle 2.04 rad lies midway between two of the 64 points that stand in
+# for the unit circle in the intersection checks
+ARC_ANGLE = 2.04
+
+
+def _slit_disk_with_tip_at(radius):
+    with open(domain_path("slit_disk")) as fh:
+        doc = json.load(fh)
+    tip = next(v for v in doc["vertices"] if v["id"] == "t")
+    tip["x"], tip["y"] = (radius * math.cos(ARC_ANGLE),
+                          radius * math.sin(ARC_ANGLE))
+    return doc
+
+
+def _circle_with_crack(r0, r1):
+    with open(domain_path("circle")) as fh:
+        doc = json.load(fh)
+    doc["vertices"] = [{"id": v, "x": r * math.cos(ARC_ANGLE),
+                        "y": r * math.sin(ARC_ANGLE)}
+                       for v, r in (("p", r0), ("q", r1))]
+    doc["edges"].append({"id": "k", "from": "p", "to": "q", "crack": True})
+    return doc
+
+
+# (document, whether it is a domain) for documents whose arcs the
+# intersection checks misjudge
+ARC_MISJUDGED = {
+    # the slit leaves the disk through the rim, which it shares a vertex with
+    "slit-disk-tip-at-1.1": (_slit_disk_with_tip_at(1.1), False),
+    "slit-disk-tip-at-1.5": (_slit_disk_with_tip_at(1.5), False),
+    # the crack crosses the rim between two of its 64 points
+    "crack-across-the-rim": (_circle_with_crack(0.9999, 1.0001), False),
+    # the crack stays 1e-3 inside the rim, where the 64-point chord runs
+    "crack-inside-the-rim": (_circle_with_crack(0.5, 0.999), True),
+}
+
+
+@pytest.mark.xfail(strict=True, raises=(DomainError, pytest.fail.Exception),
+                   reason="ROADMAP item 19: arcs are checked as 64-point "
+                   "polylines, and edges that share a vertex are not checked")
+@pytest.mark.parametrize("name", ARC_MISJUDGED)
+def test_arc_intersection_checks_are_exact(name):
+    doc, is_domain = ARC_MISJUDGED[name]
+    if is_domain:
+        parse_domain(doc)
+    else:
+        with pytest.raises(DomainError):
+            parse_domain(doc)
+
+
 def _segments_meet(p, q, r, s, tol) -> bool:
     """Whether the segments pq and rs cross or come within tol of each
     other, decided in exact rational arithmetic."""

@@ -92,8 +92,8 @@ def test_graded_mesh_rejects_bad_params(square):
 
 @pytest.mark.parametrize("name", ALL_DOMAINS)
 def test_panel_ends_are_the_edge_points_at_the_breaks(name):
-    # each unfolded edge's panel ends are its points at the breaks, in
-    # traversal order, as evaluated at each panel's own start and end
+    # each unfolded edge's panel ends are its base edge's points at the
+    # breaks, in traversal order: an edge run backward takes them reversed
     d = pf.parse_domain(domain_path(name))
     u = pf.desingularize_boundary(d)
     for n in (8, 32, 128):
@@ -105,11 +105,11 @@ def test_panel_ends_are_the_edge_points_at_the_breaks(name):
             breaks = (np.linspace(0.0, 1.0, n + 1)
                       if e.is_closed() and e.v_from is None
                       else _graded_breaks(n, 0.5, n_c))
-            sa, sb = breaks[:-1], breaks[1:]
+            pa, pb = e.point(breaks[:-1], d), e.point(breaks[1:], d)
             if not ue.forward:
-                sa, sb = 1.0 - sa, 1.0 - sb
-            assert np.array_equal(mesh.panel_a[sl], e.point(sa, d))
-            assert np.array_equal(mesh.panel_b[sl], e.point(sb, d))
+                pa, pb = pb[::-1], pa[::-1]
+            assert np.array_equal(mesh.panel_a[sl], pa)
+            assert np.array_equal(mesh.panel_b[sl], pb)
 
 
 def test_circle_mesh_is_uniform(circle):
@@ -130,6 +130,33 @@ def test_crack_mesh_twins(slit_square):
     assert np.allclose(mesh.weights[i], mesh.weights[j], rtol=1e-14)
     assert np.allclose(mesh.normals[i], -mesh.normals[j], atol=1e-14)
     assert np.array_equal(mesh.twin[j], i)
+
+
+@pytest.mark.parametrize("name", CRACK_DOMAINS)
+@pytest.mark.parametrize("n", (4, 8, 32, 128))
+def test_twin_faces_are_exact_mirrors(name, n):
+    # at the study's and the solve's depth, every twin pair has bitwise
+    # equal points, weights and r, negated normals and curvatures and
+    # swapped panel ends, and twin faces carry the same ascending tau
+    d = pf.parse_domain(domain_path(name))
+    u = pf.desingularize_boundary(d)
+    for n_c in (lp._study_depth(n), lp.SOLVE_DEPTH):
+        mesh = graded_mesh(u, n, 0.5, n_c)
+        i = np.flatnonzero(mesh.twin >= 0)
+        t = mesh.twin[i]
+        assert len(i) > 0 and np.array_equal(mesh.twin[t], i)
+        for field in ("points", "weights", "r"):
+            assert np.array_equal(getattr(mesh, field)[i],
+                                  getattr(mesh, field)[t]), field
+        for field in ("normals", "curvatures"):
+            assert np.array_equal(getattr(mesh, field)[i],
+                                  -getattr(mesh, field)[t]), field
+        assert np.array_equal(mesh.panel_a[i], mesh.panel_b[t])
+        assert np.array_equal(mesh.panel_b[i], mesh.panel_a[t])
+        for ue in u.uedges.values():
+            if ue.twin_uid is not None:
+                assert np.array_equal(mesh.tau[mesh.slices[ue.uid]],
+                                      mesh.tau[mesh.slices[ue.twin_uid]])
 
 
 # -- assembly --------------------------------------------------------------
@@ -633,7 +660,7 @@ def test_smallest_singular_values_match_dense(name, monkeypatch):
                                                 mesh_sizes=(8, 16, 32),
                                                 deflate=deflate)
             with monkeypatch.context() as m:
-                m.setattr(lp, "_twin_null_vectors", _no_twin_pairs)
+                m.setattr(lp, "_has_twin_null_vectors", _no_twin_pairs)
                 m.setattr(lp, "_smallest_singular_pairs", _dense_pairs)
                 dense = min_singular_value_study(d, c, 0.0,
                                                  mesh_sizes=(8, 16, 32),
@@ -721,10 +748,6 @@ def _no_twin_pairs(*args):
     return False
 
 
-def _no_twin_search(*args):
-    raise AssertionError("the twin search ran")
-
-
 def _only_twin_pairs(monkeypatch):
     monkeypatch.setattr(lp, "weighted_discrete_operator", _no_full_matrix)
     monkeypatch.setattr(lp, "_nystrom_matrix", _no_full_matrix)
@@ -753,14 +776,17 @@ def _counted_lu(monkeypatch):
 def test_smallest_singular_values_block_solve_on_cracks(name, c, k, n,
                                                         request, monkeypatch):
     # the crack operators at c = +-1 are singular (the LU would floor at
-    # least k pivots); twin rows that are equal (c = -1) or twin columns that
-    # are opposite (c = 1) give k exact null vectors, found from entries of
-    # B without the full matrix, the LU, Lanczos or the dense SVD
+    # least k pivots); every twin pair has equal rows (c = -1) or opposite
+    # columns (c = 1) in B, so k exact null vectors are read off the mesh
+    # without the full matrix, the LU, Lanczos or the dense SVD
     d = request.getfixturevalue(name)
-    assert _floored_pivots(_study_matrix(d, c, -0.25, n)) >= k
     mesh, D = _study_mesh(d, -0.25, n)
+    B = weighted_discrete_operator(mesh, c, D)
+    assert _floored_pivots(B) >= k
+    pairs = _exact_twin_pairs(B, mesh.twin, c)
+    assert len(pairs) == np.sum(mesh.twin >= 0) // 2 >= k
     _only_twin_pairs(monkeypatch)
-    assert lp._twin_null_vectors(mesh, c, D, k)
+    assert lp._has_twin_null_vectors(mesh, c, k)
 
 
 @pytest.mark.filterwarnings("error")
@@ -785,11 +811,47 @@ def _exact_twin_pairs(B, twin, c):
             if j < t and np.array_equal(M[j], s * M[t])]
 
 
+@pytest.mark.parametrize("name", CRACK_DOMAINS)
+@pytest.mark.parametrize("n", (8, 16, 32, 64, 128))
+def test_every_twin_pair_is_exact_at_unit_c(name, n):
+    # the rule the study reads zeros by: at every weight, each twin pair's
+    # rows of B are equal at c = -1 and its columns opposite at c = 1, bit
+    # for bit, since twin faces are exact mirrors
+    d = pf.parse_domain(domain_path(name))
+    for a in (-0.45, -0.25, -0.05, 0.0, 0.3):
+        mesh, D = _study_mesh(d, a, n)
+        want = [(j, t) for j, t in enumerate(mesh.twin) if j < t]
+        for c in (1.0, -1.0):
+            B = weighted_discrete_operator(mesh, c, D)
+            assert _exact_twin_pairs(B, mesh.twin, c) == want, (a, c)
+
+
+@pytest.mark.filterwarnings("error")
+def test_twin_rule_needs_deflate_plus_one_pairs(slit_square, monkeypatch):
+    # the 8 mesh has 16 twin pairs, the 16 mesh 32: with deflate = 16 the
+    # 17 values of the 16 mesh are exact zeros, read off its 32 pairs,
+    # while the 8 mesh's 16 pairs do not suffice and its LU answers
+    meshes = [_study_mesh(slit_square, -0.25, n)[0] for n in (8, 16)]
+    assert [np.sum(m.twin >= 0) // 2 for m in meshes] == [16, 32]
+    assert lp._has_twin_null_vectors(meshes[0], 1.0, 16)
+    assert not lp._has_twin_null_vectors(meshes[0], 1.0, 17)
+    assert lp._has_twin_null_vectors(meshes[1], 1.0, 17)
+    want = lp._smallest_singular_pairs(
+        _study_matrix(slit_square, 1.0, -0.25, 8), 17)[0][-1]
+    calls = _counted_lu(monkeypatch)
+    res = min_singular_value_study(slit_square, 1.0, -0.25,
+                                   mesh_sizes=(8, 16), deflate=16)
+    assert calls == [1]
+    assert res.rows[0][2] == want > lp.ROUNDING_SIGMA
+    assert res.rows[1][2] == 0.0
+
+
 @pytest.mark.parametrize("name", ("slit_square", "tcrack_square"))
 @pytest.mark.parametrize("c, k", ((1.0, 1), (-1.0, 2)))
 def test_twin_check_misses_one_ulp_off(name, c, k, request, monkeypatch):
     # the weight of one node of each exact pair moved by one ulp: no pair
-    # is exact any more, the search misses, and the LU runs on B
+    # is exact any more, and the LU on B, which reads no twin pairs, still
+    # finds k values at rounding level
     d = request.getfixturevalue(name)
     mesh, D = _study_mesh(d, -0.25, 16)
     B = weighted_discrete_operator(mesh, c, D)
@@ -799,7 +861,6 @@ def test_twin_check_misses_one_ulp_off(name, c, k, request, monkeypatch):
         D[j] = np.nextafter(D[j], np.inf)
     B = weighted_discrete_operator(mesh, c, D)
     assert _exact_twin_pairs(B, mesh.twin, c) == []
-    assert not lp._twin_null_vectors(mesh, c, D, k)
     calls = _counted_lu(monkeypatch)
     got = lp._smallest_singular_pairs(B, k)[0]
     assert calls == [1] and np.all(got <= lp.ROUNDING_SIGMA)
@@ -823,19 +884,16 @@ def _recorded_entries(monkeypatch):
     (name, c) for name in ("square", "lshape", "hexagon", "circle")
     for c in (1.0, -1.0)])
 def test_twin_check_misses_without_exact_pairs(name, c, monkeypatch):
-    # off c = +-1 the 2 x 2 twin blocks reject every pair, so no row or
-    # column is built, and without cracks there is no search; either way
-    # the LU runs once per mesh and the study reads its values off B
+    # off c = +-1, and on a mesh without twin pairs, the rule answers no
+    # mesh and builds no entry: the LU runs once per mesh and the study
+    # reads its values off B
     d = pf.parse_domain(domain_path(name))
     k = 2 if c < 0 else 1
-    if d.has_cracks:
-        mesh, D = _study_mesh(d, -0.25, 16)
-        with monkeypatch.context() as m:
-            shapes = _recorded_entries(m)
-            assert not lp._twin_null_vectors(mesh, c, D, k)
-        assert shapes == [(np.sum(mesh.twin >= 0) // 2, 2, 2)]
-    else:
-        monkeypatch.setattr(lp, "_twin_null_vectors", _no_twin_search)
+    mesh, _ = _study_mesh(d, -0.25, 16)
+    with monkeypatch.context() as m:
+        shapes = _recorded_entries(m)
+        assert not lp._has_twin_null_vectors(mesh, c, k)
+    assert shapes == []
     calls = _counted_lu(monkeypatch)
     res = min_singular_value_study(d, c, -0.25, mesh_sizes=(8, 16),
                                    deflate=k - 1)
@@ -849,8 +907,8 @@ def test_twin_check_misses_without_exact_pairs(name, c, monkeypatch):
 
 
 def test_crack_study_peak_memory(tcrack_square):
-    # at c = -1 the zero singular values come from twin rows built alone:
-    # no N x N array is made
+    # at c = -1 the zero singular values are read off the twin pairs of the
+    # mesh: no N x N array is made
     peak = _peak_bytes(min_singular_value_study, tcrack_square, -1.0, -0.25,
                        (64, 128))
     N = _mesh_for(tcrack_square, 128, 0.5, 24).size
@@ -991,11 +1049,11 @@ def test_dense_answer_passes_no_vectors_on(square, monkeypatch):
 
 
 def test_twin_answer_passes_no_vectors_on(slit_square, monkeypatch):
-    # the 16 mesh is answered by the twin search, so the 32 mesh starts
-    # cold, not from the 8 mesh's vector
+    # the 16 mesh is answered by twin pairs, so the 32 mesh starts cold,
+    # not from the 8 mesh's vector
     sizes = [_study_mesh(slit_square, -0.25, n)[0].size for n in (8, 16, 32)]
-    monkeypatch.setattr(lp, "_twin_null_vectors",
-                        lambda mesh, c, D, k: mesh.size == sizes[1])
+    monkeypatch.setattr(lp, "_has_twin_null_vectors",
+                        lambda mesh, c, k: mesh.size == sizes[1])
     seen = _recording_eigsh(monkeypatch, lambda v0: False)
     res = min_singular_value_study(slit_square, 0.5, -0.25,
                                    mesh_sizes=(8, 16, 32))

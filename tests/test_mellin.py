@@ -9,6 +9,7 @@ package are tested against two frozen references.
 import cmath
 import json
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -264,6 +265,21 @@ def test_scan_wedge_at_symbol_zero():
     assert not res.invertible
     assert res.margin <= 1e-8
     assert abs(res.witness_xi) <= 0.1
+
+
+def test_scan_at_zero_c_far_out_on_the_line(square):
+    # at c = 0 a corner's symbol underflows to the zero matrix past
+    # xi ~ 475, where numpy's det warns; the sign test reads no zero there,
+    # and the scan is the one it was with warnings ignored
+    for vid, op in limit_operators(square).items():
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore")
+            want = invertibility_scan(op, 0.0, 0.0, xi_max=700.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = invertibility_scan(op, 0.0, 0.0, xi_max=700.0)
+        assert got == want, vid
+        assert not got.invertible and got.margin == 0.0
 
 
 def test_scan_beyond_window_is_invertible_again():

@@ -55,3 +55,24 @@ def test_tracer_reads_window_and_study_queries():
     assert metrics["layerpot.nodes"] > 0
     assert metrics["layerpot.potential_targets"] > 0
     assert layerpot.invertibility_scan is scan           # removed again
+
+
+# wrapped names that the tracer still carries but the program has dropped
+# (ROADMAP item 6 takes them out of the tracer)
+STALE_TRACED = {("layerpot", "build_groupoid"),
+                ("mellin", "_dense_line_determinants"),
+                ("mellin", "line_determinant")}
+
+
+def test_every_traced_name_exists():
+    # Tracer.wrap skips a missing attribute, so a function the program
+    # renames or deletes would silently read 0 in its per-layer metric
+    tracer = _tracing_module().Tracer()
+    wrapped = []
+    tracer.wrap = lambda owner, attr, name, count=None: wrapped.append(
+        (owner, attr))
+    tracer.install(cli, layerpot, mellin, np, scipy)
+    assert wrapped
+    missing = {(owner.__name__.rpartition(".")[2], attr)
+               for owner, attr in wrapped if not hasattr(owner, attr)}
+    assert missing <= STALE_TRACED
