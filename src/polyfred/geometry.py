@@ -90,7 +90,7 @@ class Edge:
             return float(np.linalg.norm(b - a))
         return float(self.params["radius"]) * abs(self._dtheta())
 
-    def curvature(self, domain: "ConicalDomain") -> float:
+    def curvature(self) -> float:
         """Signed curvature (positive when turning left along increasing s)."""
         if self.kind == "line":
             return 0.0

@@ -166,7 +166,7 @@ def graded_mesh(u: UnfoldedDomain, n: int, q: float,
             meshed[e.id] = dict(
                 points=P, normals=np.stack([T[:, 1], -T[:, 0]], axis=-1),
                 weights=e.length(d) * dtau,
-                curvatures=np.full(m, e.curvature(d)),
+                curvatures=np.full(m, e.curvature()),
                 r=smoothed_distance(d, P),
                 base_index=np.full(m, base_ids.index(e.id), dtype=np.int32),
                 straight=np.full(m, e.kind == "line"),
@@ -232,21 +232,22 @@ def panel_potentials(targets, mesh: BoundaryMesh) -> np.ndarray:
     return np.nan_to_num(ang / math.pi)
 
 
-def _weighted_kernel(x, mesh: BoundaryMesh, J, out: np.ndarray) -> np.ndarray:
-    """Fill out with k(x, y_j) w_j for the points x = (x1, x2) and the mesh
-    nodes y_j, j in J, all broadcast to out's shape, and return it.
+def _weighted_kernel(x, mesh: BoundaryMesh, out: np.ndarray) -> np.ndarray:
+    """Fill out with k(x, y_j) w_j for the points x = (x1, x2), given as
+    columns, and every mesh node y_j, one column of out per node, and
+    return it.
 
     The x and y coordinate differences and the square of the latter are
     the temporaries, updated in place.  A coincident pair (r = 0) gets 0.
     """
-    (tx, ty), px, py = x, mesh.points[J, 0], mesh.points[J, 1]
+    (tx, ty), px, py = x, mesh.points[:, 0], mesh.points[:, 1]
     dx = np.subtract(tx, px)
-    num = np.multiply(dx, mesh.normals[J, 0], out=out)
+    num = np.multiply(dx, mesh.normals[:, 0], out=out)
     r2 = dx
     r2 *= dx
     dy = np.subtract(ty, py)
     dy2 = dy * dy
-    dy *= mesh.normals[J, 1]
+    dy *= mesh.normals[:, 1]
     num += dy
     r2 += dy2
     degenerate = r2 == 0.0
@@ -254,7 +255,7 @@ def _weighted_kernel(x, mesh: BoundaryMesh, J, out: np.ndarray) -> np.ndarray:
     r2 *= math.pi
     num /= r2
     # -(num / (pi r2)) w_j: negating the weights instead is exact
-    num *= -mesh.weights[J]
+    num *= -mesh.weights
     num[degenerate] = 0.0
     return num
 
@@ -263,37 +264,9 @@ def double_layer_potential(targets, mesh: BoundaryMesh,
                            density: np.ndarray) -> np.ndarray:
     """Quadrature of the double layer potential of a nodal density."""
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    K = _weighted_kernel((targets[:, :1], targets[:, 1:]), mesh, slice(None),
+    K = _weighted_kernel((targets[:, :1], targets[:, 1:]), mesh,
                          np.empty((len(targets), mesh.size)))
     return K @ np.asarray(density, dtype=float)
-
-
-def _nystrom_entries(mesh: BoundaryMesh, I, J, c: float = 0.0,
-                     D: np.ndarray | None = None,
-                     out: np.ndarray | None = None) -> np.ndarray:
-    """The entries (I, J) of A, or of D (c I + A) D^{-1} when the diagonal
-    D is given, for node index arrays I and J that broadcast together.
-
-    Each entry comes from the same operations in the same order, whichever
-    others are built with it, so a row, a column or a 2 x 2 block built
-    alone is bitwise that of the whole matrix.  They are written to out
-    when it is given.
-    """
-    if out is None:
-        out = np.empty(np.broadcast_shapes(np.shape(I), np.shape(J)))
-    _weighted_kernel((mesh.points[I, 0], mesh.points[I, 1]), mesh, J, out)
-    # a straight node's edge index; -1 on curved edges matches no node
-    straight_edge = np.where(mesh.straight, mesh.base_index, -1)
-    out[straight_edge[I] == mesh.base_index[J]] = 0.0
-    # smooth diagonal limit k(x, x) = kappa(x) / (2 pi)
-    eye = I == J
-    np.copyto(out, mesh.curvatures[I] * mesh.weights[I] / (2.0 * math.pi),
-              where=eye)
-    np.subtract(out, 1.0, out=out, where=mesh.twin[I] == J)
-    if D is not None:
-        np.add(out, c, out=out, where=eye)
-        out *= D[I] / D[J]
-    return out
 
 
 # entries per block temporary: at N = 1760 (one thread) the weighted
@@ -305,15 +278,33 @@ def _nystrom_matrix(mesh: BoundaryMesh, c: float = 0.0,
                     D: np.ndarray | None = None) -> np.ndarray:
     """A, or D (c I + A) D^{-1} when the diagonal D is given, built straight
     into the result one block of rows at a time, with temporaries of about
-    _BLOCK_ELEMENTS entries that stay in cache."""
+    _BLOCK_ELEMENTS entries that stay in cache.
+
+    Each block gets the weighted kernel, then zeros between nodes of one
+    straight edge.  Its diagonal and twin entries are then written by
+    index: the curvature limit, the twin jump -1 and, with D, the shift c.
+    Last the block is scaled by D[rows] / D.
+    """
     N = mesh.size
     out = np.empty((N, N))
-    # int32 indices: the masks compare them over every entry of a block
-    nodes = np.arange(N, dtype=np.int32)
+    # a straight node's edge index; -1 on curved edges matches no node
+    straight_edge = np.where(mesh.straight, mesh.base_index, -1)
+    # smooth diagonal limit k(x, x) w = kappa(x) w / (2 pi)
+    diagonal = mesh.curvatures * mesh.weights / (2.0 * math.pi)
     step = max(1, _BLOCK_ELEMENTS // N)
     for i0 in range(0, N, step):
-        _nystrom_entries(mesh, nodes[i0:i0 + step, None], nodes, c, D,
-                         out[i0:i0 + step])
+        block = out[i0:i0 + step]
+        local = np.arange(len(block))
+        rows = local + i0
+        _weighted_kernel((mesh.points[rows, :1], mesh.points[rows, 1:]), mesh,
+                         block)
+        block[straight_edge[rows, None] == mesh.base_index] = 0.0
+        block[local, rows] = diagonal[rows]
+        twin = mesh.twin[rows]
+        block[local[twin >= 0], twin[twin >= 0]] -= 1.0
+        if D is not None:
+            block[local, rows] += c
+            block *= D[rows, None] / D
     return out
 
 
@@ -652,15 +643,14 @@ def min_singular_value_study(d, c: float, a: float,
     and no entry is built (``_has_twin_null_vectors``): cracks are straight
     and their faces are meshed as exact mirrors (``graded_mesh``), so twin
     nodes have equal points, weights, r and hence D, and negated normals.
-    The rule that builds every entry (``_nystrom_entries``) then makes a
-    pair's rows of the weighted matrix equal at c = -1 and its columns
-    opposite at c = +1, bit for bit, and each pair gives a null vector
-    e_i -+ e_t.  Otherwise the weighted matrix is assembled
-    (``weighted_discrete_operator``) and factored by LU, and Lanczos on
-    its inverse Gram operator finds the values
-    (``_smallest_singular_pairs``), each certified by a residual computed
-    with the matrix itself.  Lanczos starts from the previous mesh's
-    certified left singular vectors, prolonged to this mesh
+    The assembly (``_nystrom_matrix``) then makes a pair's rows of the
+    weighted matrix equal at c = -1 and its columns opposite at c = +1,
+    bit for bit, and each pair gives a null vector e_i -+ e_t.  Otherwise
+    the weighted matrix is assembled (``weighted_discrete_operator``) and
+    factored by LU, and Lanczos on its inverse Gram operator finds the
+    values (``_smallest_singular_pairs``), each certified by a residual
+    computed with the matrix itself.  Lanczos starts from the previous
+    mesh's certified left singular vectors, prolonged to this mesh
     (``_prolong``); the first mesh, and a mesh after one answered by
     twin pairs or by the dense SVD, start from the fixed random start.  A
     start that fails the certificate or raises an ARPACK error is retried

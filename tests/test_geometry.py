@@ -520,7 +520,7 @@ def test_arc_edge_geometry(circle):
     e = circle.edges["rim"]
     assert e.is_closed()
     assert math.isclose(e.length(circle), TWO_PI, rel_tol=1e-12)
-    assert math.isclose(e.curvature(circle), 1.0, rel_tol=1e-12)
+    assert math.isclose(e.curvature(), 1.0, rel_tol=1e-12)
     p = e.point(0.25, circle)
     assert np.allclose(p, [0.0, 1.0], atol=1e-12)
     t = e.tangent(0.0, circle)
@@ -530,7 +530,7 @@ def test_arc_edge_geometry(circle):
 def test_line_edge_geometry(square):
     e = square.edges["south"]
     assert math.isclose(e.length(square), 2.0, rel_tol=1e-15)
-    assert e.curvature(square) == 0.0
+    assert e.curvature() == 0.0
     assert np.allclose(e.point(0.5, square), [0.0, -1.0])
 
 

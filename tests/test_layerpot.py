@@ -1,6 +1,5 @@
 """Nystrom assembly, graded meshes, Dirichlet harness, and sigma_min studies."""
 
-import functools
 import itertools
 import math
 import tracemalloc
@@ -360,36 +359,10 @@ def test_blocked_assembly_matches_whole_matrix(name):
         step = lp._BLOCK_ELEMENTS // mesh.size
         assert mesh.size <= step if one_block else mesh.size % step > 0
         assert np.array_equal(assemble_np(d, mesh), _whole_matrix(mesh))
-        D = lp._weight_diagonal(mesh, -0.25)
-        for c in (1.0, -1.0, 0.5):
+        for a, c in itertools.product((-0.25, -0.45), (1.0, -1.0, 0.5, -0.6)):
+            D = lp._weight_diagonal(mesh, a)
             assert np.array_equal(weighted_discrete_operator(mesh, c, D),
-                                  _whole_matrix(mesh, c, -0.25))
-
-
-@pytest.mark.parametrize("name", CRACK_DOMAINS + ("square",))
-@pytest.mark.parametrize("c", (1.0, -1.0, 0.5, -0.6))
-@pytest.mark.parametrize("n", (8, 32))
-def test_entries_built_alone_match_the_matrix(name, c, n):
-    # rows, columns and 2 x 2 blocks built on their own are bitwise those
-    # of the whole matrix, unweighted and at two weights
-    d = pf.parse_domain(domain_path(name))
-    mesh = _mesh_for(d, n, 0.5, lp._study_depth(n))
-    nodes = np.arange(mesh.size)
-    rng = np.random.default_rng(n)
-    idx = rng.choice(mesh.size, 7, replace=False)
-    i = np.flatnonzero(mesh.twin > nodes)
-    # the twin pairs, or on the square random pairs of distinct nodes
-    pairs = (np.stack([i, mesh.twin[i]], axis=1) if len(i)
-             else rng.choice(mesh.size, (5, 2), replace=False))
-    for D in (None, lp._weight_diagonal(mesh, -0.25),
-              lp._weight_diagonal(mesh, -0.45)):
-        whole = lp._nystrom_matrix(mesh, c, D)
-        entries = functools.partial(lp._nystrom_entries, mesh, c=c, D=D)
-        assert np.array_equal(entries(idx[:, None], nodes), whole[idx])
-        assert np.array_equal(entries(nodes[:, None], idx), whole[:, idx])
-        assert np.array_equal(
-            entries(pairs[:, :, None], pairs[:, None, :]),
-            whole[pairs[:, :, None], pairs[:, None, :]])
+                                  _whole_matrix(mesh, c, a))
 
 
 def _peak_bytes(fn, *args):
@@ -615,6 +588,22 @@ def test_study_circle_constants_kernel(circle):
     deflated = min_singular_value_study(circle, -1.0, 0.0,
                                         mesh_sizes=(8, 16, 32), deflate=1)
     assert deflated.trend == "bounded-below"
+
+
+@pytest.mark.parametrize("c, deflate", [
+    (c, 0) for c in (1.0, 0.5, -0.6, 0.3, 2.0, -3.0)] + [(-1.0, 1)])
+@pytest.mark.parametrize("a", (-0.25, 0.0, 0.3))
+def test_study_circle_closed_form(circle, c, deflate, a):
+    # the circle's uniform mesh has constant D and A = 1 1^T / N, so
+    # B = c I + 1 1^T / N at every weight: its singular values are |c + 1|
+    # once and |c| N - 1 times.  Every row lands within 16 ulp of them
+    # (at most 3 seen)
+    want = sorted([abs(c + 1.0), abs(c), abs(c)])[deflate]
+    res = min_singular_value_study(circle, c, a, mesh_sizes=(8, 32, 128),
+                                   deflate=deflate)
+    for n, _, sigma in res.rows:
+        assert abs(sigma - want) <= 16 * np.finfo(float).eps * want, n
+    assert res.trend == "bounded-below"
 
 
 # -- smallest singular values ----------------------------------------------
@@ -866,18 +855,6 @@ def test_twin_check_misses_one_ulp_off(name, c, k, request, monkeypatch):
     assert calls == [1] and np.all(got <= lp.ROUNDING_SIGMA)
 
 
-def _recorded_entries(monkeypatch):
-    shapes = []
-    entries = lp._nystrom_entries
-
-    def recorded(mesh, I, J, *args):
-        shapes.append(np.broadcast_shapes(np.shape(I), np.shape(J)))
-        return entries(mesh, I, J, *args)
-
-    monkeypatch.setattr(lp, "_nystrom_entries", recorded)
-    return shapes
-
-
 @pytest.mark.parametrize("name, c", [
     (name, c) for name in ("slit_square", "tcrack_square", "slit_disk")
     for c in (0.5, -0.6)] + [
@@ -885,15 +862,14 @@ def _recorded_entries(monkeypatch):
     for c in (1.0, -1.0)])
 def test_twin_check_misses_without_exact_pairs(name, c, monkeypatch):
     # off c = +-1, and on a mesh without twin pairs, the rule answers no
-    # mesh and builds no entry: the LU runs once per mesh and the study
+    # mesh and builds no matrix: the LU runs once per mesh and the study
     # reads its values off B
     d = pf.parse_domain(domain_path(name))
     k = 2 if c < 0 else 1
     mesh, _ = _study_mesh(d, -0.25, 16)
     with monkeypatch.context() as m:
-        shapes = _recorded_entries(m)
+        m.setattr(lp, "_nystrom_matrix", _no_full_matrix)
         assert not lp._has_twin_null_vectors(mesh, c, k)
-    assert shapes == []
     calls = _counted_lu(monkeypatch)
     res = min_singular_value_study(d, c, -0.25, mesh_sizes=(8, 16),
                                    deflate=k - 1)

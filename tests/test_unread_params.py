@@ -2,7 +2,8 @@
 
 A parameter that nothing reads is generality that no caller gets; the guard
 parses the sources with ``ast`` and covers module-level functions and the
-functions nested in them, not methods.
+functions nested in them, and methods, whose first parameter (``self`` or
+``cls``) is skipped.
 """
 
 import ast
@@ -15,17 +16,18 @@ ALLOWED = {("layerpot.py", "assemble_np", "d")}
 
 
 def unread_parameters(source: str):
-    """(function, parameter) for every parameter of a function, not a
-    method, that its body never reads."""
+    """(function, parameter) for every parameter of a function that its
+    body never reads, a method's first parameter aside."""
     tree = ast.parse(source)
     parents = {child: node for node in ast.walk(tree)
                for child in ast.iter_child_nodes(node)}
     for fn in ast.walk(tree):
-        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) \
-                or isinstance(parents[fn], ast.ClassDef):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
         args = fn.args
         params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+        if isinstance(parents[fn], ast.ClassDef):
+            params = params[1:]
         params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
         read = {node.id for stmt in fn.body for node in ast.walk(stmt)
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
@@ -40,9 +42,13 @@ def test_guard_flags_unread_parameters():
         "    return x\n"
         "class C:\n"
         "    def method(self, unused):\n"
-        "        return 0\n")
+        "        return 0\n"
+        "    @classmethod\n"
+        "    def make(cls, read):\n"
+        "        return read\n")
     assert sorted(unread_parameters(source)) == [
-        ("f", "args"), ("f", "kw"), ("f", "z"), ("inner", "v")]
+        ("f", "args"), ("f", "kw"), ("f", "z"), ("inner", "v"),
+        ("method", "unused")]
 
 
 def test_every_parameter_is_read():
